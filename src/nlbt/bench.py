@@ -26,10 +26,10 @@ def run_bench(sizes, d_energy=3, repetitions=1, seed=0, budget_bytes=8 << 30, sy
 
     ``d_energy`` is the energy-function degree; the transform and ROM degree
     is one less, following the benchmark convention of reporting complexity
-    against the energy degree.  The energy solves always take the structured
-    (eigendecomposition) route so that one algorithm is timed across all
-    sizes.  Returns a list of row dicts with per-stage seconds (mean over
-    repetitions) plus their variance.
+    against the energy degree.  Every degree of both energies is one solve
+    of the Schur-form k-way Lyapunov solver, so one algorithm is timed
+    across all sizes.  Returns a list of row dicts with per-stage seconds
+    (mean over repetitions) plus their variance.
     """
     if d_energy < 2:
         raise ValueError("energy degree must be at least 2")
@@ -46,8 +46,8 @@ def run_bench(sizes, d_energy=3, repetitions=1, seed=0, budget_bytes=8 << 30, sy
         for rep in range(repetitions):
             sys = random_stable_poly(n, sys_degree, seed=seed + rep)
             t0 = time.perf_counter()
-            Ec = solve_controllability_energy(sys, d_energy, materialize_limit=0)
-            Eo = solve_observability_energy(sys, d_energy, materialize_limit=0)
+            Ec = solve_controllability_energy(sys, d_energy)
+            Eo = solve_observability_energy(sys, d_energy)
             t1 = time.perf_counter()
             inod = compute_inod_transform(Ec, Eo, d_transf)
             t2 = time.perf_counter()

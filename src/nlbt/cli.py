@@ -90,7 +90,7 @@ def cmd_export(args):
 
 def cmd_balance(args):
     sys_obj = _load_model_or_file(args)
-    pl = balance(sys_obj, args.degree, materialize_limit=args.materialize_limit)
+    pl = balance(sys_obj, args.degree)
     artifact = {
         "version": "nlbt-balance-1",
         "d_transf": pl.d_transf,
@@ -286,7 +286,6 @@ def build_parser():
     src.add_argument("--file")
     p.add_argument("--degree", type=int, required=True, help="transformation degree")
     p.add_argument("--out", default="balance.json")
-    p.add_argument("--materialize-limit", type=int, default=10_000)
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("reduce", help="truncate a balance artifact to a ROM")

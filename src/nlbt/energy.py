@@ -1,53 +1,71 @@
 """Series solutions of the controllability and observability energy PDEs.
 
-Both energies are stored as ``E(x) = 1/2 sum_k v_k . x^(k)`` with degree-k
-coefficient vectors ``v_k`` in R^(n^k).  The degree-2 terms come from the
-standard Gramian Lyapunov equations; each higher degree is one linear solve
-against a k-way Lyapunov operator whose right-hand side collects the lower
-degree cross terms.  The contract of record is the residual of the PDE, which
-:func:`hjb_residual` evaluates directly.
+Both energies are stored as ``E(x) = 1/2 sum_k v_k . x^(k)`` with symmetric
+degree-k coefficient vectors ``v_k`` in R^(n^k).  The degree-2 terms come from
+the standard Gramian Lyapunov equations.  Each higher degree is one solve
+against the transposed k-way Lyapunov operator ``L_k(A)^T``, whose
+right-hand side collects the lower-degree cross terms.  The contract of record
+is the residual of the PDE, which :func:`hjb_residual` evaluates directly.
+
+All k-way solves go through one Bartels-Stewart solver on the complex Schur
+form ``A^T = Z T Z^H``, with ``T`` upper triangular and ``Z`` unitary.  It is
+backward stable for non-normal linearizations.  The Schur form is computed
+once per energy and reused for every degree.  The solver changes basis by
+``Z^H`` on each Kronecker slot, back-substitutes on ``T``, and changes back
+by ``Z``.  Because right-hand side and solution are symmetric tensors, the
+back-substitution peels the first slot from the last index down and solves,
+at step ``i``, only the entries whose largest index is ``i``: a
+(k-1)-way problem on the leading ``(i+1)``-block of ``T`` shifted by
+``T[i, i]``.  The 2-way problems at the bottom of the recursion are
+triangular Sylvester equations (LAPACK ``ztrsyl``).  A vanishing sum of k
+eigenvalues (a resonance) shows up on the diagonal of ``T`` and raises
+:class:`~nlbt.errors.ResonanceError`.
 """
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.lapack import ztrsyl
 
 from .errors import HypothesisViolation, ResonanceError
-from .kron import (
-    PolyMap,
-    apply_kron_vec,
-    kway_lyap_matrix,
-    right_kway_product,
-    symmetrize_columns,
-)
+from .kron import PolyMap, right_kway_product, symmetrize_columns
 
 __all__ = [
     "EnergyFunction",
+    "SchurFactor",
     "solve_observability_energy",
     "solve_controllability_energy",
     "hjb_residual",
     "solve_kway_transposed",
 ]
 
-# n^k above this size switches the k-way solves from dense LU on the
-# materialized operator to the eigendecomposition route.
-MATERIALIZE_LIMIT = 10_000
-
 
 class EnergyFunction:
     """Scalar polynomial ``E(x) = 1/2 sum_k v_k . x^(k)`` with ``E(0) = 0``.
 
     Coefficients start at degree 2; ``v_2`` reshaped to ``n x n`` is the
-    Hessian at the origin.
+    Hessian at the origin.  The constructor symmetrizes the coefficients.
     """
 
     def __init__(self, n, coeffs):
+        self._set(n, coeffs, symmetrize=True)
+
+    @classmethod
+    def _from_symmetric(cls, n, coeffs):
+        """Wrap coefficient vectors that are already symmetric (solver output)."""
+        self = cls.__new__(cls)
+        self._set(n, coeffs, symmetrize=False)
+        return self
+
+    def _set(self, n, coeffs, symmetrize):
         self.n = int(n)
         self.coeffs = {}
         for k, v in coeffs.items():
             v = np.asarray(v, dtype=float).ravel()
             if v.size != self.n ** int(k):
                 raise ValueError(f"degree-{k} coefficient has wrong length")
-            self.coeffs[int(k)] = symmetrize_columns(v[None, :], self.n, int(k)).ravel()
+            if symmetrize:
+                v = symmetrize_columns(v[None, :], self.n, int(k)).ravel()
+            self.coeffs[int(k)] = v
         for v in self.coeffs.values():
             v.setflags(write=False)
         self._polymap = None
@@ -90,51 +108,205 @@ class EnergyFunction:
         return f"EnergyFunction(n={self.n}, degree={self.degree})"
 
 
-def _check_hurwitz(A):
-    lam = la.eigvals(A)
+def _check_hurwitz(lam):
+    """Raise :class:`HypothesisViolation` unless all eigenvalues ``lam`` have Re < 0."""
     if np.any(lam.real >= 0):
         worst = lam[np.argmax(lam.real)]
         raise HypothesisViolation(
             f"linearization is not Hurwitz (eigenvalue {worst:.6g} has Re >= 0)"
         )
-    return lam
 
 
-def solve_kway_transposed(A, k, rhs, materialize_limit=MATERIALIZE_LIMIT):
-    """Solve ``L_k(A)^T v = rhs`` for square ``A``.
+def _slot_product(t, M):
+    """Contract the leading slot of the tensor ``t`` with the square ``M``
+    (``t @ M`` on that slot) and append the image as the trailing slot.
 
-    Dense LU on the materialized operator below ``materialize_limit`` unknowns;
-    above that, an eigendecomposition of ``A`` reduces the operator to a
-    diagonal of eigenvalue sums.  Raises :class:`ResonanceError` when an
-    eigenvalue sum vanishes.
+    One product per index of the second slot keeps every BLAS call at
+    ``n x n x n``.  A single ``n^(k-1) x n`` complex product crosses the
+    BLAS threading threshold already at n = 16, where waking the threads
+    costs far more than the product itself.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
+    n = M.shape[0]
+    return np.matmul(t.reshape(n, n, -1).transpose(1, 2, 0), M).reshape(-1, n)
+
+
+# largest 2-way block handed to ztrsyl whole; larger ones are split in two
+_BLOCK_2WAY = 32
+
+
+class SchurFactor:
+    """Complex Schur form ``A^T = Z T Z^H`` of a real square matrix ``A``.
+
+    Compute it once per linearization and pass it to
+    :func:`solve_kway_transposed` for every degree.
+    """
+
+    def __init__(self, A):
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("A must be a square matrix")
+        n = A.shape[0]
+        T, Z = la.schur(A.T, output="complex")
+        self.n = n
+        self.T = T
+        self.eigvals = np.diagonal(T)
+        # Fortran-ordered operands of the 2-way solves (ztrsyl)
+        self._t_f = np.asfortranarray(T)
+        self._tconj_f = np.asfortranarray(T.conj())
+        # a slot contraction by M is ``t @ M^T`` on the trailing axis; the
+        # real operands let the real input and the real output skip complex
+        # products
+        self._zh_t = Z.conj()
+        self._zh_t_real = np.stack([Z.real, -Z.imag], axis=-1).reshape(n, 2 * n)
+        self._z_t = np.ascontiguousarray(Z.T)
+        self._z_t_re = np.ascontiguousarray(Z.real.T)
+        self._z_t_im = np.ascontiguousarray(Z.imag.T)
+
+    def _check_resonance(self, k):
+        """Raise :class:`ResonanceError` when a sum of ``k`` eigenvalues is numerically zero."""
+        lam = self.eigvals
+        sums = lam
+        for _ in range(k - 1):
+            sums = sums[..., None] + lam
+        tol = 1e-12 * max(float(np.abs(lam).max()), 1.0) * k
+        if np.abs(sums).min() < tol:
+            raise ResonanceError(
+                f"degree-{k} solve is singular: an eigenvalue sum of the "
+                f"linearization is numerically zero (resonance)"
+            )
+
+    def _to_schur(self, rhs, k):
+        """``(Z^H)^(k) rhs`` for a real vector ``rhs`` of length ``n^k``, as a complex k-tensor."""
+        n = self.n
+        # each contraction consumes the leading slot and appends its image as
+        # the trailing one, so k of them restore the slot order
+        t = (rhs.reshape(n, -1).T @ self._zh_t_real).view(complex)
+        for _ in range(k - 1):
+            t = _slot_product(t, self._zh_t)
+        return t.reshape((n,) * k)
+
+    def _from_schur(self, X, k):
+        """``Z^(k) X`` as a real vector; ``X`` must be the image of a real tensor."""
+        n = self.n
+        t = X
+        for _ in range(k - 1):
+            t = _slot_product(t, self._z_t)
+        t = t.reshape(n, -1)
+        return (t.real.T @ self._z_t_re - t.imag.T @ self._z_t_im).ravel()
+
+    def _back_substitute(self, X, shift=0.0):
+        """Overwrite the symmetric k-tensor ``X`` with the solution ``Y`` of
+        ``(shift I + L_k(T_m)) Y = X``, where ``T_m`` is the leading ``m x m``
+        block of ``T`` and ``m = X.shape[0]``.
+        """
+        k, m = X.ndim, X.shape[0]
+        if m == 1:
+            X /= shift + k * self.eigvals[0]
+            return
+        if k == 2:
+            self._solve_2way(0, m, X, shift)
+            return
+        T = self.T
+        for i in range(m - 1, -1, -1):
+            a = i + 1
+            box = (slice(0, a),) * (k - 1)
+            # unknowns Y[i, b] with b <= i; every entry with an index above i
+            # is solved already and, by symmetry, stored with that index last
+            r = X[(i,) + box]
+            if a < m:
+                r = r - X[box + (slice(a, m),)] @ T[i, a:m]
+                q = X[(i,) + box[1:] + (slice(a, m),)] @ T[:a, a:m].T
+                # q is symmetric in its leading axes, so a swap places its
+                # last axis at any slot
+                r -= q
+                for p in range(k - 2):
+                    r -= q.swapaxes(p, -1)
+            else:
+                r = r.copy()
+            self._back_substitute(r, shift + T[i, i])
+            for p in range(k):
+                X[box[:p] + (i,) + box[p:]] = r
+
+    def _shifted_block(self, lo, hi, shift):
+        """Fortran-ordered copy of ``T[lo:hi, lo:hi] + shift I``."""
+        A = np.array(self._t_f[lo:hi, lo:hi], order="F")
+        A.ravel(order="F")[:: hi - lo + 1] += shift
+        return A
+
+    def _solve_2way(self, lo, hi, X, shift):
+        """Overwrite the symmetric matrix ``X`` with the symmetric ``Y`` of
+        ``(shift I + T_b) Y + Y T_b^T = X``, ``T_b = T[lo:hi, lo:hi]``.
+
+        Blocks larger than ``_BLOCK_2WAY`` split in two: the trailing diagonal
+        block, the off-diagonal block and the leading diagonal block are
+        solved in turn, so ztrsyl sees only about half of the entries.
+        """
+        m = hi - lo
+        if m <= _BLOCK_2WAY:
+            A = self._shifted_block(lo, hi, shift)
+            # X is symmetric, so X.T is the same matrix in Fortran order
+            Y, scale, _ = ztrsyl(
+                A, self._tconj_f[lo:hi, lo:hi], X.T, tranb="C", overwrite_c=1
+            )
+            if scale != 1.0 or not np.may_share_memory(Y, X):
+                X[...] = Y.T / scale
+            return
+        h = m // 2
+        X11, X12, X22 = X[:h, :h], X[:h, h:], X[h:, h:]
+        self._solve_2way(lo + h, hi, X22, shift)
+        T12 = self.T[lo : lo + h, lo + h : hi]
+        A = self._shifted_block(lo, lo + h, shift)
+        Y12, scale, _ = ztrsyl(
+            A, self._tconj_f[lo + h : hi, lo + h : hi], X12 - T12 @ X22, tranb="C"
+        )
+        Y12 /= scale
+        G = Y12 @ T12.T
+        X11 -= G
+        X11 -= G.T
+        self._solve_2way(lo, lo + h, X11, shift)
+        X12[...] = Y12
+        X[h:, :h] = Y12.T
+
+
+def _check_symmetric(R):
+    """Raise ``ValueError`` unless the k-tensor ``R`` is invariant under slot permutations."""
+    tol = 1e-12 * np.abs(R).max()
+    # a transposition and a cycle generate every permutation of the slots
+    k = R.ndim
+    for axes in {(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)}:
+        if np.abs(R - R.transpose(axes)).max() > tol:
+            raise ValueError(
+                "right-hand side is not symmetric in its Kronecker slots; "
+                "symmetrize it with nlbt.kron.symmetrize_columns"
+            )
+
+
+def solve_kway_transposed(A, k, rhs):
+    """Solve ``L_k(A)^T v = rhs`` for a right-hand side symmetric in its slots.
+
+    ``A`` is a square array or its :class:`SchurFactor`; pass the factor when
+    solving several degrees against one ``A``.  ``rhs`` has length ``n^k``,
+    ``k >= 2``, and must be invariant under permutations of its ``k``
+    Kronecker slots, as every right-hand side of the energy equations is;
+    the solution is then symmetric as well.  Raises ``ValueError`` for a
+    non-symmetric ``rhs`` and :class:`ResonanceError` when a sum of ``k``
+    eigenvalues of ``A`` is numerically zero.
+    """
+    fac = A if isinstance(A, SchurFactor) else SchurFactor(A)
+    k = int(k)
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    n = fac.n
     rhs = np.asarray(rhs, dtype=float).ravel()
+    if rhs.size != n ** k:
+        raise ValueError(f"right-hand side has length {rhs.size}, expected {n ** k}")
+    _check_symmetric(rhs.reshape((n,) * k))
     if not np.any(rhs):
         return np.zeros_like(rhs)
-    materialize = rhs.size <= materialize_limit
-    if materialize:
-        lam = la.eigvals(A)
-    else:
-        lam, S = la.eig(A)
-    scale = np.abs(lam).max()
-    sums = lam.copy()
-    for _ in range(k - 1):
-        sums = (sums[:, None] + lam[None, :]).ravel()
-    if np.abs(sums).min() < 1e-12 * max(scale, 1.0) * k:
-        raise ResonanceError(
-            f"degree-{k} solve is singular: an eigenvalue sum of the "
-            f"linearization is numerically zero (resonance)"
-        )
-    if materialize:
-        return la.solve(kway_lyap_matrix(A, k).T, rhs)
-    # A^T = R Lambda R^{-1} with R = S^{-T}; L_k(A^T) = R^(k) diag(sums) R^{-1(k)}
-    Sinv = la.inv(S)
-    t = apply_kron_vec(S.T, rhs.astype(complex), k)
-    t /= sums
-    v = apply_kron_vec(Sinv.T, t, k)
-    return np.ascontiguousarray(v.real)
+    fac._check_resonance(k)
+    X = fac._to_schur(rhs, k)
+    fac._back_substitute(X)
+    return fac._from_schur(X, k)
 
 
 def _h_cross_terms(h, k):
@@ -149,18 +321,19 @@ def _h_cross_terms(h, k):
     return out
 
 
-def solve_observability_energy(sys, d, materialize_limit=MATERIALIZE_LIMIT):
+def solve_observability_energy(sys, d):
     """Observability energy to degree ``d``: solves ``dE/dx f + 1/2 h^T h = 0``.
 
     Degree 2 is the observability Gramian Lyapunov equation
     ``A^T W + W A + H_1^T H_1 = 0``; degree k >= 3 is a linear solve against
-    ``L_k(A)^T``.
+    ``L_k(A)^T``, all degrees sharing one Schur form of ``A``.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
     n = sys.n
     A = sys.A
-    _check_hurwitz(A)
+    fac = SchurFactor(A)
+    _check_hurwitz(fac.eigvals)
     H1 = sys.h.term(1)
     W = la.solve_continuous_lyapunov(A.T, -H1.T @ H1)
     w = {2: 0.5 * (W + W.T).reshape(-1)}
@@ -172,23 +345,23 @@ def solve_observability_energy(sys, d, materialize_limit=MATERIALIZE_LIMIT):
                 b += right_kway_product(w[i][None, :], sys.f.terms[j], i, n).ravel()
         b += _h_cross_terms(sys.h, k)
         b = symmetrize_columns(b[None, :], n, k).ravel()
-        w[k] = solve_kway_transposed(A, k, -b, materialize_limit)
-    return EnergyFunction(n, w)
+        w[k] = solve_kway_transposed(fac, k, -b)
+    return EnergyFunction._from_symmetric(n, w)
 
 
-def solve_controllability_energy(sys, d, materialize_limit=MATERIALIZE_LIMIT):
+def solve_controllability_energy(sys, d):
     """Controllability energy to degree ``d`` from the Hamilton-Jacobi equation.
 
     Degree 2 inverts the controllability Gramian (the Hessian of the energy is
     the Gramian inverse); each degree k >= 3 solves against
     ``L_k(A + B B^T V_2)^T``, whose operator is nonsingular for a Hurwitz,
-    controllable linearization.
+    controllable linearization; all degrees share one Schur form.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    n, m = sys.n, sys.m
+    n = sys.n
     A = sys.A
-    _check_hurwitz(A)
+    _check_hurwitz(np.linalg.eigvals(A))
     B = sys.B
     Wc = la.solve_continuous_lyapunov(A, -B @ B.T)
     Wc = 0.5 * (Wc + Wc.T)
@@ -198,10 +371,10 @@ def solve_controllability_energy(sys, d, materialize_limit=MATERIALIZE_LIMIT):
             f"controllability Gramian is numerically singular (cond {cond:.3g}); "
             "the linearization is not controllable"
         )
-    V2 = la.inv(Wc)
+    V2 = la.solve(Wc, np.eye(n), assume_a="pos")
     V2 = 0.5 * (V2 + V2.T)
     v = {2: V2.reshape(-1)}
-    Acl = A + B @ B.T @ V2
+    fac = SchurFactor(A + B @ B.T @ V2)
     constant_g = all(set(gc.terms) <= {0} for gc in sys.g)
     for k in range(3, d + 1):
         b = np.zeros(n ** k)
@@ -210,7 +383,7 @@ def solve_controllability_energy(sys, d, materialize_limit=MATERIALIZE_LIMIT):
                 i = k - j + 1
                 b += right_kway_product(v[i][None, :], sys.f.terms[j], i, n).ravel()
         # quadratic input term: pair up degree parts of (dE/dx) g^(l), excluding
-        # the unknown v_k (its linear appearance is folded into Acl)
+        # the unknown v_k (its linear appearance is folded into A + B B^T V_2)
         if constant_g:
             # all input columns are constant: batch the columns in one
             # contraction (v_i symmetric, so one slot stands in for all i)
@@ -220,12 +393,11 @@ def solve_controllability_energy(sys, d, materialize_limit=MATERIALIZE_LIMIT):
                 if i >= k:
                     rho[s] = None
                     continue
-                vt = v[i].reshape([n] * i)
-                rho[s] = 0.5 * i * np.tensordot(B, vt, axes=([0], [0])).reshape(m, -1)
+                rho[s] = 0.5 * i * (B.T @ v[i].reshape(n, -1))
             for s in range(1, k):
                 t = k - s
                 if rho[s] is not None and rho[t] is not None:
-                    b += np.einsum("la,lb->ab", rho[s], rho[t]).reshape(-1)
+                    b += (rho[s].T @ rho[t]).reshape(-1)
         else:
             for gc in sys.g:
                 rho = {}
@@ -243,10 +415,8 @@ def solve_controllability_energy(sys, d, materialize_limit=MATERIALIZE_LIMIT):
                     if np.any(rho[s]) and np.any(rho[t]):
                         b += np.kron(rho[s], rho[t])
         b = symmetrize_columns(b[None, :], n, k).ravel()
-        v[k] = symmetrize_columns(
-            solve_kway_transposed(Acl, k, -b, materialize_limit)[None, :], n, k
-        ).ravel()
-    return EnergyFunction(n, v)
+        v[k] = solve_kway_transposed(fac, k, -b)
+    return EnergyFunction._from_symmetric(n, v)
 
 
 def hjb_residual(E, sys, x, which):

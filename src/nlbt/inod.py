@@ -20,6 +20,7 @@ import scipy.linalg as la
 
 from .errors import HypothesisViolation
 from .kron import PolyMap, apply_kron_vec, column_multi_indices, mat_times_kron
+from .kron import _symmetry_groups
 from .kron import compositions as _compositions
 
 __all__ = [
@@ -94,7 +95,8 @@ def linear_balancing(Ec, Eo, gap_tol=1e-10):
     W2 = Eo.hessian
     try:
         # V2 is the Gramian inverse; factor the Gramian itself
-        Lc = la.cholesky(la.inv(V2), lower=True)
+        Wc = la.solve(V2, np.eye(V2.shape[0]), assume_a="pos")
+        Lc = la.cholesky(Wc, lower=True)
         Lo = la.cholesky(W2, lower=True)
     except la.LinAlgError as exc:
         raise HypothesisViolation(
@@ -182,22 +184,13 @@ def compute_inod_transform(Ec, Eo, d_transf, gap_tol=1e-10):
 def _degree_structure(n, k):
     """Sigma-independent combinatorics of the degree-k per-monomial solve."""
     q = k + 1
-    # encode every degree-q column by its sorted multiset
-    idx_q = column_multi_indices(n, q)
-    keys_q = np.sort(idx_q, axis=1)
-    enc_q = np.zeros(keys_q.shape[0], dtype=np.int64)
-    for j in range(q):
-        enc_q = enc_q * n + keys_q[:, j]
-    uniq_enc, inv_q = np.unique(enc_q, return_inverse=True)
-
-    # degree-k monomials and their per-state occurrence counts
+    # monomials are the column groups of equal multisets; the column of a
+    # sorted multi-index is the smallest one of its group
+    inv_q, counts_q = _symmetry_groups(n, q)
+    inv_k, _ = _symmetry_groups(n, k)
     idx_k = column_multi_indices(n, k)
-    keys_k = np.sort(idx_k, axis=1)
-    enc_k = np.zeros(keys_k.shape[0], dtype=np.int64)
-    for j in range(k):
-        enc_k = enc_k * n + keys_k[:, j]
-    _, first_k, inv_k = np.unique(enc_k, return_index=True, return_inverse=True)
-    monos_k = keys_k[first_k]  # (Mk, k) sorted representatives
+    sorted_k = np.all(idx_k[:, 1:] >= idx_k[:, :-1], axis=1)
+    monos_k = idx_k[sorted_k]  # (Mk, k) sorted representatives, in group order
     Mk = monos_k.shape[0]
     occ = (monos_k[:, :, None] == np.arange(n)[None, None, :]).sum(axis=1)  # (Mk, n)
     fact = np.array([math.factorial(j) for j in range(k + 2)], dtype=float)
@@ -209,14 +202,14 @@ def _degree_structure(n, k):
     pair_keys = np.sort(
         np.concatenate([monos_k[mus], states[:, None]], axis=1), axis=1
     )
-    enc_pair = np.zeros(pair_keys.shape[0], dtype=np.int64)
+    col_pair = np.zeros(pair_keys.shape[0], dtype=np.int64)
     for j in range(q):
-        enc_pair = enc_pair * n + pair_keys[:, j]
-    mid = np.searchsorted(uniq_enc, enc_pair)     # pair -> degree-q monomial id
+        col_pair = col_pair * n + pair_keys[:, j]
+    mid = inv_q[col_pair]                         # pair -> degree-q monomial id
 
     w = occ[mus, states] + 1.0                    # multiplicity of i in mu+{i}
     base = fact[k] / (prodfact_mu[mus] * w)       # arrangements of mu+{i} minus one i
-    nm = uniq_enc.size
+    nm = counts_q.size
     npairs = np.bincount(mid, minlength=nm)
     return inv_q, inv_k, Mk, states, mid, w, base, nm, npairs
 
@@ -295,9 +288,10 @@ def _check_contracts(result, Ec, Eo, d_transf, n_dirs=2, seed=0):
         for eps in (3e-2, 3e-3):
             zz = eps * z
             x = result.transform(zz)
-            ra = Ec.value(x) - 0.5 * np.sum(zz ** 2)
-            rb = Eo.value(x) - 0.5 * np.sum(zz ** 2 * sig2.value(zz))
-            floor = 1e-8 * max(abs(Ec.value(x)), abs(Eo.value(x)), 1e-300)
+            ec, eo = Ec.value(x), Eo.value(x)
+            ra = ec - 0.5 * np.sum(zz ** 2)
+            rb = eo - 0.5 * np.sum(zz ** 2 * sig2.value(zz))
+            floor = 1e-8 * max(abs(ec), abs(eo), 1e-300)
             resid.append((ra, rb, floor))
         for idx in range(2):
             prev, cur = resid[0][idx], resid[1][idx]

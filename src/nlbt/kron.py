@@ -104,12 +104,12 @@ def symmetrize_columns(W, n, k):
 
 def apply_kron_vec(M, v, k):
     """Apply ``M (x) ... (x) M`` (k factors) to a vector of length ``M.shape[1]**k``."""
-    mrows, mcols = M.shape
-    t = v.reshape([mcols] * k)
+    mcols = M.shape[1]
+    t = v
     for _ in range(k):
-        t = np.tensordot(M, t, axes=([1], [k - 1]))
-        # tensordot placed the new axis first, old trailing axis consumed:
-        # repeating k times cycles through all slots in order.
+        # contract the trailing slot and place its image first: k products
+        # cycle through all slots in order
+        t = M @ t.reshape(-1, mcols).T
     return t.reshape(-1)
 
 
@@ -126,15 +126,24 @@ def mat_times_kron(M, factors):
     ndarray, shape (r, prod_j cols(B_j))
     """
     r = M.shape[0]
-    rows = [B.shape[0] for B in factors]
-    out = M.reshape([r] + rows)
+    out = M
     for B in factors:
-        out = np.tensordot(out, B, axes=([1], [0]))
-    return np.ascontiguousarray(out.reshape(r, -1))
+        # contract the leading factor axis and append its image as the
+        # trailing one, so the factors are consumed in order
+        b = B.shape[0]
+        if r == 1:
+            out = out.reshape(b, -1).T @ B
+        else:
+            out = out.reshape(r, b, -1).swapaxes(1, 2).reshape(-1, b) @ B
+    return out.reshape(r, -1)
 
 
 def kway_lyap_matrix(A, k):
-    """Materialized k-way Lyapunov matrix ``L_k(A) = sum_i I (x)..(x) A (x)..(x) I``."""
+    """Materialized k-way Lyapunov matrix ``L_k(A) = sum_i I (x)..(x) A (x)..(x) I``.
+
+    Only a test oracle: its ``n^k x n^k`` size rules it out for solves, which
+    go through :func:`nlbt.energy.solve_kway_transposed`.
+    """
     A = np.asarray(A, dtype=float)
     p, q = A.shape
     out = np.zeros((p ** k, p ** (k - 1) * q))
@@ -178,11 +187,18 @@ def right_kway_product(M, B, k, base):
     M = np.atleast_2d(M)
     B = np.atleast_2d(B)
     r = M.shape[0]
-    tens = M.reshape([r] + [base] * k)
+    q = B.shape[1]
     out = None
     for slot in range(k):
-        term = np.tensordot(tens, B, axes=([1 + slot], [0]))
-        term = np.moveaxis(term, -1, 1 + slot)
+        lead, trail = r * base ** slot, base ** (k - 1 - slot)
+        if trail == 1:
+            term = M.reshape(-1, base) @ B
+        elif lead == 1:
+            term = B.T @ M.reshape(base, -1)
+        else:
+            # bring the slot to the end, contract it with B, and move it back
+            term = M.reshape(lead, base, trail).swapaxes(1, 2).reshape(-1, base) @ B
+            term = term.reshape(lead, trail, q).swapaxes(1, 2)
         term = term.reshape(r, -1)
         out = term if out is None else out + term
     return out

@@ -2,11 +2,7 @@
 
 import numpy as np
 
-from .energy import (
-    MATERIALIZE_LIMIT,
-    solve_controllability_energy,
-    solve_observability_energy,
-)
+from .energy import solve_controllability_energy, solve_observability_energy
 from .inod import compute_inod_transform
 from .realization import (
     BalancedRealization,
@@ -58,7 +54,7 @@ class BalancedPipeline:
         return build_rom(self.realize(d_rom, g_degree=g_degree, threads=threads), r, x0=x0)
 
 
-def balance(sys, d_transf, materialize_limit=MATERIALIZE_LIMIT):
+def balance(sys, d_transf):
     """Run the balancing pipeline on a control-affine polynomial system.
 
     Computes degree-(d_transf+1) energies, the input-normal/output-diagonal
@@ -69,8 +65,8 @@ def balance(sys, d_transf, materialize_limit=MATERIALIZE_LIMIT):
     if d_transf < 1:
         raise ValueError("transform degree must be at least 1")
     d_energy = d_transf + 1
-    Ec = solve_controllability_energy(sys, d_energy, materialize_limit)
-    Eo = solve_observability_energy(sys, d_energy, materialize_limit)
+    Ec = solve_controllability_energy(sys, d_energy)
+    Eo = solve_observability_energy(sys, d_energy)
     inod = compute_inod_transform(Ec, Eo, d_transf)
     A_series = scaling_series_for(inod.sq_sv, d_transf)
     scaling_map = assemble_scaling_coeffs(A_series, sys.n, d_transf)

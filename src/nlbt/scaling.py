@@ -22,21 +22,25 @@ __all__ = [
 
 
 def series_product(a, b, d):
-    """Cauchy product of two coefficient arrays, truncated at degree ``d``."""
-    out = np.zeros(d + 1)
-    for i, ai in enumerate(a[: d + 1]):
-        if ai == 0.0:
-            continue
-        top = min(d - i, len(b) - 1)
-        out[i : i + top + 1] += ai * np.asarray(b[: top + 1])
+    """Cauchy product of two coefficient arrays, truncated at degree ``d``.
+
+    Coefficients run along the last axis; leading axes broadcast, so one call
+    multiplies the series of every state at once.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (d + 1,))
+    for i in range(min(a.shape[-1], d + 1)):
+        top = min(d - i, b.shape[-1] - 1)
+        out[..., i : i + top + 1] += a[..., i : i + 1] * b[..., : top + 1]
     return out
 
 
 def _series_log1p(u, d):
-    """log(1 + u) for a series ``u`` with no constant term."""
-    out = np.zeros(d + 1)
-    term = np.zeros(d + 1)
-    term[0] = 1.0
+    """log(1 + u) for series ``u`` (last axis) with no constant term."""
+    out = np.zeros(u.shape[:-1] + (d + 1,))
+    term = np.zeros_like(out)
+    term[..., 0] = 1.0
     for m in range(1, d + 1):
         term = series_product(term, u, d)
         if not np.any(term):
@@ -46,11 +50,11 @@ def _series_log1p(u, d):
 
 
 def _series_exp(v, d):
-    """exp(v) for a series ``v`` with no constant term."""
-    out = np.zeros(d + 1)
-    out[0] = 1.0
-    term = np.zeros(d + 1)
-    term[0] = 1.0
+    """exp(v) for series ``v`` (last axis) with no constant term."""
+    out = np.zeros(v.shape[:-1] + (d + 1,))
+    out[..., 0] = 1.0
+    term = np.zeros_like(out)
+    term[..., 0] = 1.0
     for m in range(1, d + 1):
         term = series_product(term, v, d) / m
         if not np.any(term):
@@ -63,16 +67,18 @@ def inverse_scaling_series(c, d):
     """Taylor coefficients of ``z * (c(z))**(1/4)`` through degree ``d``.
 
     ``c`` holds the squared-singular-value coefficients ``c_0, c_1, ...`` with
-    ``c_0 > 0``.  Returns ``a`` with ``a[0] = 0``; ``a[1] = c_0**0.25``.
+    ``c_0 > 0``, along the last axis (one row per state for a 2-D ``c``).
+    Returns ``a`` with ``a[0] = 0``; ``a[1] = c_0**0.25``.
     """
     c = np.asarray(c, dtype=float)
-    if c[0] <= 0:
+    if np.any(c[..., 0] <= 0):
         raise ValueError("constant term of the squared singular value series must be positive")
-    u = np.zeros(d + 1)
-    u[1 : len(c)] = c[1 : d + 1] / c[0]
-    root = c[0] ** 0.25 * _series_exp(0.25 * _series_log1p(u, d), d)
-    a = np.zeros(d + 1)
-    a[1:] = root[:d]
+    c0 = c[..., :1]
+    u = np.zeros(c.shape[:-1] + (d + 1,))
+    u[..., 1 : c.shape[-1]] = c[..., 1 : d + 1] / c0
+    root = c0 ** 0.25 * _series_exp(0.25 * _series_log1p(u, d), d)
+    a = np.zeros_like(u)
+    a[..., 1:] = root[..., :d]
     return a
 
 
@@ -80,22 +86,25 @@ def series_reversion(a, d):
     """Coefficients ``A`` of the inverse series: ``A(a(z)) = z + O(z^(d+1))``.
 
     Triangular solve by degree matching; requires ``a[0] = 0`` and ``a[1] != 0``.
+    Coefficients run along the last axis, as in :func:`series_product`.
     """
     a = np.asarray(a, dtype=float)
-    if a[0] != 0.0:
+    if np.any(a[..., 0] != 0.0):
         raise ValueError("series to revert must have no constant term")
-    if a[1] == 0.0:
+    if np.any(a[..., 1] == 0.0):
         raise ValueError("series to revert must have a nonzero leading coefficient")
-    apad = np.zeros(d + 1)
-    apad[: min(len(a), d + 1)] = a[: d + 1]
+    apad = np.zeros(a.shape[:-1] + (d + 1,))
+    m = min(a.shape[-1], d + 1)
+    apad[..., :m] = a[..., :m]
     apow = [None, apad.copy()]
     for m in range(2, d + 1):
         apow.append(series_product(apow[-1], apad, d))
-    A = np.zeros(d + 1)
-    A[1] = 1.0 / a[1]
+    a1 = apad[..., 1]
+    A = np.zeros_like(apad)
+    A[..., 1] = 1.0 / a1
     for k in range(2, d + 1):
-        acc = sum(A[m] * apow[m][k] for m in range(1, k))
-        A[k] = -acc / (a[1] ** k)
+        acc = sum(A[..., m] * apow[m][..., k] for m in range(1, k))
+        A[..., k] = -acc / (a1 ** k)
     return A
 
 
@@ -127,9 +136,4 @@ def compose_balancing(transform, scaling_map, d):
 
 def scaling_series_for(sq_sv, d):
     """Forward scaling series for every state: inverse series, then reversion."""
-    n = sq_sv.n
-    out = np.zeros((n, d + 1))
-    for i in range(n):
-        a = inverse_scaling_series(sq_sv.coeffs[i], d)
-        out[i] = series_reversion(a, d)
-    return out
+    return series_reversion(inverse_scaling_series(sq_sv.coeffs, d), d)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,13 +8,22 @@ import scipy.linalg as la
 from conftest import ray_slope
 from nlbt import models
 from nlbt.energy import (
+    SchurFactor,
     hjb_residual,
     solve_controllability_energy,
     solve_kway_transposed,
     solve_observability_energy,
 )
 from nlbt.errors import HypothesisViolation, ResonanceError
-from nlbt.kron import PolyMap, ControlAffineSystem, kway_lyap_matrix, polymap_from_monomials
+from nlbt.kron import (
+    ControlAffineSystem,
+    PolyMap,
+    kway_lyap_apply,
+    kway_lyap_matrix,
+    polymap_from_monomials,
+    symmetrize_columns,
+)
+from nlbt.pipeline import balance
 
 
 def scalar_system():
@@ -159,19 +170,80 @@ class TestSymmetryInvariance:
             )
 
 
+def _complex_pair_matrix():
+    """3 x 3 Hurwitz matrix with a complex-conjugate pair of eigenvalues."""
+    rng = np.random.default_rng(8)
+    S = rng.standard_normal((3, 3))
+    D = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -3.0]])
+    return S @ D @ np.linalg.inv(S)
+
+
+def _symmetric_rhs(n, k, seed=0):
+    rng = np.random.default_rng(seed)
+    return symmetrize_columns(rng.standard_normal(n ** k)[None, :], n, k).ravel()
+
+
 class TestKwaySolver:
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_materialized_and_eig_routes_agree(self, k):
-        rng = np.random.default_rng(8)
-        A = rng.standard_normal((3, 3)) - 2 * np.eye(3)
-        rhs = rng.standard_normal(3 ** k)
-        dense = solve_kway_transposed(A, k, rhs, materialize_limit=10_000)
-        eig = solve_kway_transposed(A, k, rhs, materialize_limit=0)
-        npt.assert_allclose(dense, eig, rtol=1e-9)
-        npt.assert_allclose(kway_lyap_matrix(A, k).T @ dense, rhs, rtol=1e-10)
+    @pytest.mark.parametrize(
+        "A, k",
+        [(_complex_pair_matrix(), k) for k in (2, 3, 4, 6)]
+        + [(models.beam_single_element().A, k) for k in (2, 3, 4)],
+        ids=["pair-k2", "pair-k3", "pair-k4", "pair-k6", "beam-k2", "beam-k3", "beam-k4"],
+    )
+    def test_backward_residual_against_materialized_operator(self, A, k):
+        n = A.shape[0]
+        rhs = _symmetric_rhs(n, k)
+        v = solve_kway_transposed(A, k, rhs)
+        L = kway_lyap_matrix(A, k).T
+        resid = np.linalg.norm(L @ v - rhs)
+        assert resid <= 1e-12 * (np.linalg.norm(L) * np.linalg.norm(v) + np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_backward_residual_with_split_two_way_blocks(self, k):
+        # n = 40 exceeds the largest 2-way block solved whole, so the split
+        # path runs; L_k(A)^T = L_k(A^T) is applied slot by slot
+        n = 40
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((n, n)) / np.sqrt(n) - 1.5 * np.eye(n)
+        rhs = _symmetric_rhs(n, k)
+        v = solve_kway_transposed(A, k, rhs)
+        resid = np.linalg.norm(kway_lyap_apply(A.T, k, v) - rhs)
+        norm_L = k * np.linalg.norm(A, 2)
+        assert resid <= 1e-12 * (norm_L * np.linalg.norm(v) + np.linalg.norm(rhs))
+
+    def test_factor_reuse_matches_direct_call(self):
+        A = _complex_pair_matrix()
+        fac = SchurFactor(A)
+        for k in (3, 4):
+            rhs = _symmetric_rhs(3, k, seed=k)
+            npt.assert_array_equal(solve_kway_transposed(fac, k, rhs), solve_kway_transposed(A, k, rhs))
+
+    @pytest.mark.parametrize("perm", [(1, 0, 2), (1, 2, 0)], ids=["swap-invariant", "roll-invariant"])
+    def test_non_symmetric_rhs_rejected(self, perm):
+        # S + S^perm is invariant under one generator of the slot permutations
+        # but not under the other, so each of the two checks must catch it
+        S = np.random.default_rng(3).standard_normal((3, 3, 3))
+        R = S + S.transpose(perm)
+        if perm == (1, 2, 0):
+            R += S.transpose(2, 0, 1)
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve_kway_transposed(_complex_pair_matrix(), 3, R.ravel())
 
     def test_resonance_detected(self):
         # eigenvalues -1 and 2: the pair sum (-1) + (-1) ... 2 + (-1) - 1 = 0
         A = np.diag([-1.0, 0.5])
         with pytest.raises(ResonanceError):
             solve_kway_transposed(A, 3, np.ones(8))
+
+    def test_resonance_through_complex_pair(self):
+        # eigenvalues -1 + i, -1 - i and 2 sum to zero at k = 3
+        A = np.array([[-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(ResonanceError):
+            solve_kway_transposed(A, 3, np.ones(27))
+
+
+class TestBeamConditioning:
+    def test_balance_raises_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            balance(models.beam_single_element(), 2)
