@@ -14,6 +14,7 @@ from .energy import (
 )
 from .errors import (
     BalancingError,
+    ContractViolation,
     HypothesisViolation,
     NewtonDivergence,
     ResonanceError,
@@ -30,6 +31,7 @@ from .kron import (
 from .pipeline import BalancedPipeline, balance
 from .realization import (
     BalancedRealization,
+    BalancingTransform,
     ReducedOrderModel,
     build_rom,
     inverse_transform_coeffs,
@@ -44,6 +46,8 @@ __all__ = [
     "BalancedPipeline",
     "BalancedRealization",
     "BalancingError",
+    "BalancingTransform",
+    "ContractViolation",
     "ControlAffineSystem",
     "EnergyFunction",
     "HypothesisViolation",

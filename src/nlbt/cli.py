@@ -2,7 +2,8 @@
 
 Subcommands: ``export``, ``balance``, ``reduce``, ``simulate``, ``compare``,
 ``bench``.  Exit codes: 0 success, 2 hypothesis violation, 3 parse error,
-4 resource refusal.
+4 resource refusal, 5 contract violation (a computed transform failed its
+residual contracts).
 """
 
 import argparse
@@ -14,18 +15,16 @@ import numpy as np
 
 from . import models
 from .bench import loglog_slope, run_bench
-from .errors import HypothesisViolation, ResonanceError, ResourceRefusal
-from .kron import PolyMap
+from .errors import ContractViolation, HypothesisViolation, ResonanceError, ResourceRefusal
 from .pipeline import balance
-from .realization import (
-    BalancedRealization,
-    ReducedOrderModel,
-    balanced_system,
-    build_rom,
-)
+from .realization import BalancingTransform, ReducedOrderModel, build_rom
 from .serialization import (
     FormatError,
+    _decode_matrix,
+    _encode_matrix,
     load_system,
+    polymap_from_dict,
+    polymap_to_dict,
     save_system,
     system_from_dict,
     system_to_dict,
@@ -36,27 +35,11 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_PARSE = 3
 EXIT_RESOURCE = 4
+EXIT_CONTRACT = 5
 
 
 def _fmt(x):
     return format(float(x), ".17g")
-
-
-def _encode_polymap(pm):
-    return {
-        "base_dim": pm.base_dim,
-        "rows": pm.rows,
-        "terms": {str(k): [[_fmt(v) for v in row] for row in W] for k, W in pm.terms.items()},
-    }
-
-
-def _decode_polymap(obj):
-    base_dim, rows = int(obj["base_dim"]), int(obj["rows"])
-    terms = {
-        int(k): np.array([[float(v) for v in row] for row in W], dtype=float)
-        for k, W in obj["terms"].items()
-    }
-    return PolyMap(terms, base_dim, rows=rows)
 
 
 def _load_model_or_file(args):
@@ -102,9 +85,9 @@ def cmd_balance(args):
             "controllability": {str(k): [_fmt(v) for v in vec] for k, vec in pl.Ec.coeffs.items()},
             "observability": {str(k): [_fmt(v) for v in vec] for k, vec in pl.Eo.coeffs.items()},
         },
-        "Tbar": _encode_polymap(pl.Tbar),
-        "Tbar1_inv": [[_fmt(v) for v in row] for row in pl.Tbar1_inv],
-        "P": _encode_polymap(pl.P),
+        "Tbar": polymap_to_dict(pl.Tbar),
+        "Tbar1_inv": _encode_matrix(pl.Tbar1_inv),
+        "P": polymap_to_dict(pl.P),
     }
     with open(args.out, "w") as fh:
         json.dump(artifact, fh, indent=1)
@@ -128,33 +111,29 @@ def _load_artifact(path):
 def cmd_reduce(args):
     art = _load_artifact(args.artifact)
     sys_obj = system_from_dict(art["system"])
-    Tbar = _decode_polymap(art["Tbar"])
-    Tbar1_inv = np.array(
-        [[float(v) for v in row] for row in art["Tbar1_inv"]], dtype=float
+    n = sys_obj.n
+    balancing = BalancingTransform(
+        sys_obj,
+        polymap_from_dict(art["Tbar"]),
+        _decode_matrix(art["Tbar1_inv"], (n, n)),
+        polymap_from_dict(art["P"]),
+        np.array([float(v) for v in art["hankel"]]),
     )
-    P = _decode_polymap(art["P"])
-    hankel = np.array([float(v) for v in art["hankel"]])
-    if not 1 <= args.r <= sys_obj.n:
-        print(f"error: r={args.r} out of range 1..{sys_obj.n}", file=_sys.stderr)
+    if not 1 <= args.r <= n:
+        print(f"error: r={args.r} out of range 1..{n}", file=_sys.stderr)
         return EXIT_PARSE
     d_rom = args.rom_degree or int(art["d_transf"])
-    bal = BalancedRealization(
-        balanced_system(sys_obj, Tbar, Tbar1_inv, d_rom, threads=args.threads),
-        Tbar,
-        P,
-        hankel,
-    )
     x0 = _parse_vector(args.x0) if args.x0 else None
-    rom = build_rom(bal, args.r, x0=x0)
+    rom = build_rom(balancing, args.r, d_rom, x0=x0)
     out = {
         "version": "nlbt-rom-1",
         "r": rom.r,
         "d_rom": d_rom,
         "rom": system_to_dict(rom.sys),
-        "transform": _encode_polymap(rom.T_r),
-        "inverse_transform": _encode_polymap(rom.P),
+        "transform": polymap_to_dict(rom.T_r),
+        "inverse_transform": polymap_to_dict(rom.P),
         "x_r0": [_fmt(v) for v in rom.x_r0],
-        "hankel": [_fmt(v) for v in hankel],
+        "hankel": [_fmt(v) for v in rom.hankel],
     }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1)
@@ -171,8 +150,8 @@ def _load_rom(path):
     return ReducedOrderModel(
         int(obj["r"]),
         system_from_dict(obj["rom"]),
-        _decode_polymap(obj["transform"]),
-        _decode_polymap(obj["inverse_transform"]),
+        polymap_from_dict(obj["transform"]),
+        polymap_from_dict(obj["inverse_transform"]),
         np.array([float(v) for v in obj["x_r0"]]),
         np.array([float(v) for v in obj["hankel"]]),
     )
@@ -293,7 +272,6 @@ def build_parser():
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--rom-degree", type=int, default=None)
     p.add_argument("--x0", default=None, help="full-order initial condition to reduce")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="rom.json")
     p.set_defaults(func=cmd_reduce)
 
@@ -344,6 +322,9 @@ def main(argv=None):
     except ResourceRefusal as exc:
         print(json.dumps({"error": "resource_refusal", "reason": str(exc)}), file=_sys.stderr)
         return EXIT_RESOURCE
+    except ContractViolation as exc:
+        print(json.dumps({"error": "contract_violation", "reason": str(exc)}), file=_sys.stderr)
+        return EXIT_CONTRACT
     except (FormatError, FileNotFoundError, KeyError, ValueError) as exc:
         print(json.dumps({"error": "parse_error", "reason": str(exc)}), file=_sys.stderr)
         return EXIT_PARSE

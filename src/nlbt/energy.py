@@ -100,7 +100,7 @@ class EnergyFunction:
             pm = PolyMap(
                 {k: 0.5 * v[None, :] for k, v in self.coeffs.items()}, self.n, rows=1
             )
-            pm._symmetric = pm  # coefficients are symmetric by construction
+            pm._is_symmetric = True  # coefficients are symmetric by construction
             self._polymap = pm
         return self._polymap
 
@@ -123,8 +123,8 @@ def _slot_product(t, M):
 
     One product per index of the second slot keeps every BLAS call at
     ``n x n x n``.  A single ``n^(k-1) x n`` complex product crosses the
-    BLAS threading threshold already at n = 16, where waking the threads
-    costs far more than the product itself.
+    BLAS threading threshold already at n = 16, where waking the BLAS worker
+    pool costs far more than the product itself.
     """
     n = M.shape[0]
     return np.matmul(t.reshape(n, n, -1).transpose(1, 2, 0), M).reshape(-1, n)

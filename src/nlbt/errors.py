@@ -13,6 +13,15 @@ class HypothesisViolation(BalancingError):
     """
 
 
+class ContractViolation(BalancingError):
+    """A computed transform fails its residual contracts.
+
+    Raised when the input-normal/output-diagonal residuals do not contract
+    along shrinking rays (or are not finite): the degree solves are
+    inconsistent with the energies they were computed from.
+    """
+
+
 class ResonanceError(BalancingError):
     """A degree-k series solve is singular (eigenvalue-sum resonance)."""
 

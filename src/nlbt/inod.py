@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg as la
 
-from .errors import HypothesisViolation
+from .errors import ContractViolation, HypothesisViolation
 from .kron import PolyMap, apply_kron_vec, column_multi_indices, mat_times_kron
 from .kron import _symmetry_groups
 from .kron import compositions as _compositions
@@ -297,8 +297,9 @@ def _check_contracts(result, Ec, Eo, d_transf, n_dirs=2, seed=0):
             prev, cur = resid[0][idx], resid[1][idx]
             if abs(prev) <= resid[0][2] and abs(cur) <= resid[1][2]:
                 continue
-            if abs(cur) > abs(prev) * 10 ** -1.5:
-                raise RuntimeError(
+            # written so that a NaN residual fails too
+            if not abs(cur) <= abs(prev) * 10 ** -1.5:
+                raise ContractViolation(
                     "input-normal/output-diagonal residual does not contract; "
                     "the degree solve is inconsistent"
                 )

@@ -308,7 +308,8 @@ class PolyMap:
         self.terms = dict(sorted(clean.items()))
         for W in self.terms.values():
             W.setflags(write=False)
-        self._symmetric = None
+        self._symmetric = None  # cached symmetrized copy
+        self._is_symmetric = False  # a flag, not self in _symmetric: no reference cycle
 
     @property
     def degree(self):
@@ -337,13 +338,15 @@ class PolyMap:
 
     def symmetrized(self):
         """Copy with all coefficient matrices symmetrized; cached."""
+        if self._is_symmetric:
+            return self
         if self._symmetric is None:
             sym = PolyMap(
                 {k: symmetrize_columns(W, self.base_dim, k) for k, W in self.terms.items()},
                 self.base_dim,
                 rows=self.rows,
             )
-            sym._symmetric = sym
+            sym._is_symmetric = True
             self._symmetric = sym
         return self._symmetric
 

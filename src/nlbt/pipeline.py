@@ -41,17 +41,16 @@ class BalancedPipeline:
     def sigma_condition(self):
         return float(self.hankel[0] / self.hankel[-1])
 
-    def realize(self, d_rom=None, g_degree=None, threads=1):
+    def realize(self, d_rom=None, g_degree=None):
         """Explicit balanced realization to degree ``d_rom`` (default ``d_transf``)."""
         d = self.d_transf if d_rom is None else d_rom
-        bal_sys = balanced_system(
-            self.sys, self.Tbar, self.Tbar1_inv, d, g_degree=g_degree, threads=threads
-        )
+        bal_sys = balanced_system(self.sys, self.Tbar, self.Tbar1_inv, d, g_degree=g_degree)
         return BalancedRealization(bal_sys, self.Tbar, self.P, self.hankel)
 
-    def reduce(self, r, d_rom=None, x0=None, g_degree=None, threads=1):
-        """Order-r ROM (balance-then-truncate)."""
-        return build_rom(self.realize(d_rom, g_degree=g_degree, threads=threads), r, x0=x0)
+    def reduce(self, r, d_rom=None, x0=None, g_degree=None):
+        """Order-r ROM (balance-then-truncate), built on retained columns only."""
+        d = self.d_transf if d_rom is None else d_rom
+        return build_rom(self, r, d, x0=x0, g_degree=g_degree)
 
 
 def balance(sys, d_transf):

@@ -9,9 +9,17 @@ enters every higher degree.
 
 Truncation keeps the leading ``r`` rows and the columns whose multi-indices
 only touch retained states, which realizes the balance-then-truncate map
-exactly.  The condition number ``sigma_1/sigma_n`` of the Hankel values is the
-ill-conditioning diagnostic for that computation.
+exactly.  The recursions take a retained order ``r`` and compute only those
+columns (all ``n`` rows, because ``Tbar_1^{-1}`` mixes them): the composition
+terms need the transform on retained columns, and the coupling
+``Tbar_i L_i(.)`` needs it on columns with at most one non-retained slot, by
+the slot symmetry of ``Tbar_i`` only those whose first ``i - 1`` slots are
+retained.  So :func:`build_rom` never forms the full realization, and
+``r = n`` is the full realization itself.  The condition number ``sigma_1/sigma_n`` of the Hankel
+values is the ill-conditioning diagnostic for that computation.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +41,7 @@ __all__ = [
     "truncate_transform",
     "build_rom",
     "BalancedRealization",
+    "BalancingTransform",
     "ReducedOrderModel",
 ]
 
@@ -43,78 +52,115 @@ def _sym_terms(Tbar):
     return {k: W for k, W in sym.terms.items() if k >= 1}
 
 
-def balanced_drift(f, Tbar, Tbar1_inv, d):
+def _retained_terms(Ts, n, r):
+    """``Ts`` on the columns whose multi-indices only touch states < r."""
+    if r == n:
+        return Ts
+    return {k: truncate_columns(W, n, r, k) for k, W in Ts.items()}
+
+
+def _coupling(Ti, B, i, n, r):
+    """``Ti L_i(B)`` on retained columns, for ``Ti`` symmetric in its ``i`` slots.
+
+    ``B`` holds retained columns only.  At ``r = n`` this is
+    :func:`right_kway_product`.  Below, symmetry makes every slot's term a
+    placement of one product: ``Ti`` on the columns whose first ``i - 1``
+    slots are retained, contracted with ``B`` over the last slot.
+    """
+    if r == n:
+        return right_kway_product(Ti, B, i, n)
+    rows, q = Ti.shape[0], B.shape[1]
+    Y = Ti.reshape((rows,) + (n,) * i)[(slice(None),) + (slice(r),) * (i - 1)] @ B
+    # slot s: the B block goes after the first s retained indices
+    return sum(
+        Y.reshape(rows, r ** s, r ** (i - 1 - s), q).swapaxes(2, 3).reshape(rows, -1)
+        for s in range(i)
+    )
+
+
+def _composition(maps, Ts_r, k):
+    """``sum_j M_j Tcal_{j,k}`` over the given ``{j: M_j}``; None if no term."""
+    acc = None
+    for j in range(1, k + 1):
+        if j in maps:
+            term = mat_times_tensor_sum(maps[j], Ts_r, j, k)
+            if term is not None:
+                acc = term if acc is None else acc + term
+    return acc
+
+
+def _solve_recursion(maps, seed, Tbar, Tbar1_inv, d, r, couple_top):
+    """Drift/input recursion (see :func:`balanced_drift`) on retained columns.
+
+    ``seed`` holds the known low degrees; the coupling index ``i`` runs to
+    ``k + couple_top`` (the input map couples one degree higher, against its
+    constant term).
+    """
+    n = Tbar.rows
+    Ts = _sym_terms(Tbar)
+    Ts_r = _retained_terms(Ts, n, r)
+    dT = max(Ts)
+    Xbar = dict(seed)
+    for k in range(1, d + 1):
+        rhs = _composition(maps, Ts_r, k)
+        if rhs is None:
+            rhs = np.zeros((n, r ** k))
+        for i in range(2, min(k + couple_top, dT) + 1):
+            jj = k - i + 1
+            if jj in Xbar:
+                rhs -= _coupling(Ts[i], Xbar[jj], i, n, r)
+        Xbar[k] = Tbar1_inv @ symmetrize_columns(rhs, r, k)
+    return PolyMap(Xbar, r, rows=n)
+
+
+def balanced_drift(f, Tbar, Tbar1_inv, d, r=None):
     """Drift coefficients of the balanced realization, degrees 1..d.
 
     ``Fbar_k = Tbar_1^{-1} [ sum_j F_j Tcal_{j,k} - sum_{i>=2} Tbar_i L_i(Fbar_{k-i+1}) ]``,
     evaluated in increasing k.  The bracket is only a coefficient identity up
     to column symmetry (both sides represent the same polynomial), so it is
     symmetrized before the solve; the result is the canonical symmetric
-    representative.
+    representative.  With a retained order ``r`` (default ``n``) the result
+    holds the columns that only touch states < r, as a map on ``R^r`` with
+    all ``n`` rows.
     """
     n = Tbar.rows
-    Ts = _sym_terms(Tbar)
-    dT = max(Ts)
-    Fbar = {}
-    for k in range(1, d + 1):
-        rhs = np.zeros((n, n ** k))
-        for j in range(1, k + 1):
-            if j in f.terms:
-                term = mat_times_tensor_sum(f.terms[j], Ts, j, k)
-                if term is not None:
-                    rhs += term
-        for i in range(2, min(k, dT) + 1):
-            jj = k - i + 1
-            if jj in Fbar:
-                rhs -= right_kway_product(Ts[i], Fbar[jj], i, n)
-        Fbar[k] = Tbar1_inv @ symmetrize_columns(rhs, n, k)
-    return PolyMap(Fbar, n, rows=n)
+    r = n if r is None else r
+    return _solve_recursion(f.terms, {}, Tbar, Tbar1_inv, d, r, 0)
 
 
-def balanced_input(g_column, Tbar, Tbar1_inv, d):
+def balanced_input(g_column, Tbar, Tbar1_inv, d, r=None):
     """One input column of the balanced realization, degrees 0..d.
 
     Same recursion as the drift; the constant column seeds it, and its k-way
     coupling with ``Tbar_{k+1}`` is kept (the term a degree-(k+1) transform
-    contributes against the constant input).
+    contributes against the constant input).  ``r`` restricts the columns as
+    in :func:`balanced_drift`.
     """
     n = Tbar.rows
-    Ts = _sym_terms(Tbar)
-    dT = max(Ts)
-    Gbar = {0: Tbar1_inv @ g_column.term(0)}
-    for k in range(1, d + 1):
-        rhs = np.zeros((n, n ** k))
-        for j in range(1, k + 1):
-            if j in g_column.terms:
-                term = mat_times_tensor_sum(g_column.terms[j], Ts, j, k)
-                if term is not None:
-                    rhs += term
-        for i in range(2, min(k + 1, dT) + 1):
-            jj = k - i + 1
-            if jj in Gbar:
-                rhs -= right_kway_product(Ts[i], Gbar[jj], i, n)
-        Gbar[k] = Tbar1_inv @ symmetrize_columns(rhs, n, k)
-    return PolyMap(Gbar, n, rows=n)
+    r = n if r is None else r
+    seed = {0: Tbar1_inv @ g_column.term(0)}
+    return _solve_recursion(g_column.terms, seed, Tbar, Tbar1_inv, d, r, 1)
 
 
-def balanced_output(h, Tbar, d):
-    """Output coefficients ``Hbar_k = sum_j H_j Tcal_{j,k}``: a plain composition."""
+def balanced_output(h, Tbar, d, r=None):
+    """Output coefficients ``Hbar_k = sum_j H_j Tcal_{j,k}``: a plain composition.
+
+    With a retained order ``r`` (default ``n``) this is ``h`` composed with
+    the truncated transform ``Tbar^(r)``.
+    """
     n = Tbar.rows
-    Ts = _sym_terms(Tbar)
+    r = n if r is None else r
+    Ts_r = _retained_terms(_sym_terms(Tbar), n, r)
     Hbar = {}
     for k in range(1, d + 1):
-        acc = None
-        for j in range(1, k + 1):
-            if j in h.terms:
-                term = mat_times_tensor_sum(h.terms[j], Ts, j, k)
-                if term is not None:
-                    acc = term if acc is None else acc + term
+        acc = _composition(h.terms, Ts_r, k)
         if acc is not None:
-            Hbar[k] = symmetrize_columns(acc, n, k)
-    return PolyMap(Hbar, n, rows=h.rows)
+            Hbar[k] = symmetrize_columns(acc, r, k)
+    return PolyMap(Hbar, r, rows=h.rows)
 
 
-def balanced_system(sys, Tbar, Tbar1_inv, d, g_degree=None, threads=1):
+def balanced_system(sys, Tbar, Tbar1_inv, d, g_degree=None):
     """Full balanced realization of ``sys`` under ``Tbar``.
 
     Drift and output run to degree ``d``; the input map runs to ``g_degree``,
@@ -123,15 +169,7 @@ def balanced_system(sys, Tbar, Tbar1_inv, d, g_degree=None, threads=1):
     """
     dg = d - 1 if g_degree is None else g_degree
     fbar = balanced_drift(sys.f, Tbar, Tbar1_inv, d)
-    if threads > 1 and sys.m > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            gbar = list(
-                pool.map(lambda gc: balanced_input(gc, Tbar, Tbar1_inv, dg), sys.g)
-            )
-    else:
-        gbar = [balanced_input(gc, Tbar, Tbar1_inv, dg) for gc in sys.g]
+    gbar = [balanced_input(gc, Tbar, Tbar1_inv, dg) for gc in sys.g]
     hbar = balanced_output(sys.h, Tbar, d)
     return ControlAffineSystem(fbar, gbar, hbar)
 
@@ -158,6 +196,7 @@ def inverse_transform_coeffs(Tbar, Tbar1_inv, d):
     return PolyMap(P, n, rows=n)
 
 
+@lru_cache(maxsize=64)
 def _retained_column_map(n, r, k):
     """For each of the r^k retained columns, its source column among n^k."""
     src = np.zeros(r ** k, dtype=np.int64)
@@ -166,6 +205,7 @@ def _retained_column_map(n, r, k):
         digit = rem // r ** j
         rem = rem % r ** j
         src = src * n + digit
+    src.setflags(write=False)
     return src
 
 
@@ -210,6 +250,23 @@ class BalancedRealization:
         return self.P(np.asarray(x0, dtype=float))
 
 
+class BalancingTransform:
+    """A full-order system with its balancing transformation.
+
+    Everything :func:`build_rom` reads: the system ``sys``, the transform
+    ``Tbar``, the inverse ``Tbar1_inv`` of its linear coefficient, the series
+    inverse ``P`` and the Hankel values.  A
+    :class:`~nlbt.pipeline.BalancedPipeline` carries the same attributes.
+    """
+
+    def __init__(self, sys, Tbar, Tbar1_inv, P, hankel):
+        self.sys = sys
+        self.Tbar = Tbar
+        self.Tbar1_inv = np.asarray(Tbar1_inv, dtype=float)
+        self.P = P
+        self.hankel = np.asarray(hankel, dtype=float)
+
+
 class ReducedOrderModel:
     """Order-r truncation of a balanced realization.
 
@@ -234,38 +291,33 @@ class ReducedOrderModel:
         return self.T_r(np.asarray(x_r, dtype=float))
 
 
-def build_rom(balanced, r, x0=None):
-    """Truncate a :class:`BalancedRealization` to order ``r``.
+def _leading_rows(pm, r):
+    return PolyMap({k: W[:r] for k, W in pm.terms.items()}, pm.base_dim, rows=r)
 
-    Coefficients are sliced from the full balanced realization: leading ``r``
-    rows for drift/input (all ``p`` rows for the output), retained-state
-    columns everywhere.  ``r = n`` reproduces the balanced realization exactly.
+
+def build_rom(balancing, r, d_rom, x0=None, g_degree=None):
+    """Order-``r`` ROM of ``balancing.sys`` (balance-then-truncate).
+
+    ``balancing`` is a :class:`BalancingTransform` or anything with the same
+    attributes, such as a :class:`~nlbt.pipeline.BalancedPipeline`.  The
+    drift/input/output recursions run on retained columns only (see the
+    module docstring) to degree ``d_rom``, input map to ``g_degree`` (default
+    ``d_rom - 1``); the ROM keeps the leading ``r`` rows of drift and input.
+    The result equals truncating the full balanced realization, and
+    ``r = n`` reproduces it.
     """
-    full = balanced.sys
-    n = full.n
+    sys = balancing.sys
+    n = sys.n
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}")
-    f_r = PolyMap(
-        {k: truncate_columns(W[:r], n, r, k) for k, W in full.f.terms.items()},
-        r,
-        rows=r,
-    )
+    Tbar, Tbar1_inv = balancing.Tbar, balancing.Tbar1_inv
+    dg = d_rom - 1 if g_degree is None else g_degree
+    f_r = _leading_rows(balanced_drift(sys.f, Tbar, Tbar1_inv, d_rom, r), r)
     g_r = [
-        PolyMap(
-            {k: truncate_columns(W[:r], n, r, k) for k, W in gc.terms.items()},
-            r,
-            rows=r,
-        )
-        for gc in full.g
+        _leading_rows(balanced_input(gc, Tbar, Tbar1_inv, dg, r), r) for gc in sys.g
     ]
-    h_r = PolyMap(
-        {k: truncate_columns(W, n, r, k) for k, W in full.h.terms.items()},
-        r,
-        rows=full.p,
-    )
-    T_r = truncate_transform(balanced.Tbar, r)
-    x_r0 = (
-        balanced.initial_condition(x0)[:r] if x0 is not None else np.zeros(r)
-    )
+    h_r = balanced_output(sys.h, Tbar, d_rom, r)
+    T_r = truncate_transform(Tbar, r)
+    x_r0 = balancing.P(np.asarray(x0, dtype=float))[:r] if x0 is not None else np.zeros(r)
     rom_sys = ControlAffineSystem(f_r, g_r, h_r)
-    return ReducedOrderModel(r, rom_sys, T_r, balanced.P, x_r0, balanced.hankel)
+    return ReducedOrderModel(r, rom_sys, T_r, balancing.P, x_r0, balancing.hankel)

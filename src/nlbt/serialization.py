@@ -2,7 +2,10 @@
 
 Coefficient matrices are stored dense, row-major, under the canonical
 Kronecker column ordering.  Floats are written as decimal strings with 17
-significant digits, which round-trip IEEE doubles bit-exactly.
+significant digits, which round-trip IEEE doubles bit-exactly.  The same
+matrix and polymap codec serves the CLI's balance and ROM documents, where a
+standalone polymap carries its ``base_dim`` and ``rows``
+(:func:`polymap_to_dict`).
 """
 
 import json
@@ -11,7 +14,15 @@ import numpy as np
 
 from .kron import ControlAffineSystem, PolyMap
 
-__all__ = ["system_to_dict", "system_from_dict", "save_system", "load_system", "FormatError"]
+__all__ = [
+    "system_to_dict",
+    "system_from_dict",
+    "polymap_to_dict",
+    "polymap_from_dict",
+    "save_system",
+    "load_system",
+    "FormatError",
+]
 
 FORMAT_VERSION = "kps-1"
 
@@ -43,6 +54,21 @@ def _decode_polymap(obj, base_dim, rows):
     return PolyMap(terms, base_dim, rows=rows)
 
 
+def polymap_to_dict(pm):
+    """A standalone polymap: ``base_dim``, ``rows`` and the per-degree blocks."""
+    return {"base_dim": pm.base_dim, "rows": pm.rows, "terms": _encode_polymap(pm)}
+
+
+def polymap_from_dict(obj):
+    """Inverse of :func:`polymap_to_dict`; malformed blocks raise :class:`FormatError`."""
+    try:
+        return _decode_polymap(obj["terms"], int(obj["base_dim"]), int(obj["rows"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, FormatError):
+            raise
+        raise FormatError(f"malformed polymap: {exc}") from exc
+
+
 def system_to_dict(sys):
     return {
         "version": FORMAT_VERSION,
@@ -64,7 +90,7 @@ def system_from_dict(obj):
         f = _decode_polymap(obj["f"], n, n)
         g = [_decode_polymap(gobj, n, n) for gobj in obj["g"]]
         h = _decode_polymap(obj["h"], n, p)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"malformed {FORMAT_VERSION} document: {exc}") from exc

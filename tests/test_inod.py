@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import brentq
 
 from conftest import ray_slope
 from nlbt import models
@@ -9,8 +10,9 @@ from nlbt.energy import (
     solve_controllability_energy,
     solve_observability_energy,
 )
-from nlbt.errors import HypothesisViolation
-from nlbt.inod import compute_inod_transform, linear_balancing
+from nlbt.errors import BalancingError, ContractViolation, HypothesisViolation
+from nlbt.inod import InodResult, _check_contracts, compute_inod_transform, linear_balancing
+from nlbt.kron import PolyMap
 
 
 def energies_for(sys, d):
@@ -123,6 +125,51 @@ class TestInodTransform:
             idx = column_multi_indices(2, k)
             mixed = np.array([len(set(row)) > 1 for row in idx])
             assert np.abs(W[0, mixed]).max() <= 1e-8 * lead
+
+
+class TestContractCheck:
+    D = 2
+
+    def setup_method(self):
+        self.Ec, self.Eo = energies_for(models.three_dim_illustrative(exact=True), self.D + 1)
+        self.good = compute_inod_transform(self.Ec, self.Eo, self.D)
+
+    def corrupted(self, delta):
+        terms = dict(self.good.transform.terms)
+        terms[2] = terms[2] + delta
+        return InodResult(PolyMap(terms, 3), self.good.t1_inverse, self.good.sq_sv)
+
+    def test_contract_violation_is_a_balancing_error(self):
+        assert issubclass(ContractViolation, BalancingError)
+
+    def test_non_finite_degree_two_term(self):
+        delta = np.zeros((3, 9))
+        delta[2, 4] = np.nan
+        with pytest.raises(ContractViolation):
+            _check_contracts(self.corrupted(delta), self.Ec, self.Eo, self.D)
+
+    def test_degree_two_term_whose_residual_stalls(self):
+        # A wrong degree-2 term gives a residual of order |z|^3 (cross term,
+        # linear in the error) plus |z|^4 (quadratic in it).  Scaled so the
+        # two cancel at the outer radius of the first ray, the residual
+        # grows as the ray shrinks, which the check must reject.
+        seed, outer = 3, 3e-2
+        z = np.random.default_rng(seed).standard_normal(3)
+        z /= np.linalg.norm(z)
+        D = np.random.default_rng(11).standard_normal((3, 9))
+
+        def resid(t):
+            return self.Ec.value(self.corrupted(t * D).transform(outer * z)) - 0.5 * outer ** 2
+
+        if resid(1e-3) > 0:
+            D = -D
+        ts = np.logspace(-3, 4, 200)
+        vals = np.array([resid(t) for t in ts])
+        i = int(np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0])
+        t0 = brentq(resid, ts[i], ts[i + 1], xtol=1e-14, rtol=1e-15)
+        _check_contracts(self.good, self.Ec, self.Eo, self.D, n_dirs=1, seed=seed)
+        with pytest.raises(ContractViolation):
+            _check_contracts(self.corrupted(t0 * D), self.Ec, self.Eo, self.D, n_dirs=1, seed=seed)
 
 
 class TestGaugeInvariants:

@@ -6,9 +6,14 @@ import pytest
 
 from nlbt import models
 from nlbt.cli import main
+from nlbt.errors import ContractViolation
+from nlbt.kron import PolyMap
+from nlbt.pipeline import balance
 from nlbt.serialization import (
     FormatError,
     load_system,
+    polymap_from_dict,
+    polymap_to_dict,
     save_system,
     system_from_dict,
     system_to_dict,
@@ -47,6 +52,46 @@ class TestKpsFormat:
         with pytest.raises(FormatError):
             system_from_dict(obj)
 
+    @pytest.mark.parametrize("field", ["f", "h"])
+    def test_polymap_not_an_object(self, field):
+        obj = system_to_dict(models.pendulum(3))
+        obj[field] = []
+        with pytest.raises(FormatError):
+            system_from_dict(obj)
+
+
+class TestPolymapCodec:
+    def test_round_trip_bit_exact(self):
+        pm = balance(models.pendulum(3), 3).Tbar
+        back = polymap_from_dict(json.loads(json.dumps(polymap_to_dict(pm))))
+        assert (back.base_dim, back.rows) == (pm.base_dim, pm.rows)
+        assert set(back.terms) == set(pm.terms)
+        assert all(np.array_equal(back.terms[k], W) for k, W in pm.terms.items())
+
+    def test_layout(self):
+        pm = PolyMap({1: [[0.1, 2.0]], 2: [[1.0, 0.0, 0.0, 1.0 / 3.0]]}, 2)
+        assert polymap_to_dict(pm) == {
+            "base_dim": 2,
+            "rows": 1,
+            "terms": {
+                "1": [["0.10000000000000001", "2"]],
+                "2": [["1", "0", "0", "0.33333333333333331"]],
+            },
+        }
+
+    def test_malformed_block_names_its_shape(self):
+        obj = polymap_to_dict(PolyMap({2: np.ones((2, 4))}, 2))
+        obj["terms"]["2"] = [["1.0", "2.0"]]
+        with pytest.raises(FormatError, match=r"\(1, 2\).*\(2, 4\)"):
+            polymap_from_dict(obj)
+
+    @pytest.mark.parametrize("drop", ["base_dim", "rows", "terms"])
+    def test_missing_field(self, drop):
+        obj = polymap_to_dict(PolyMap({1: np.eye(2)}, 2))
+        del obj[drop]
+        with pytest.raises(FormatError):
+            polymap_from_dict(obj)
+
 
 class TestCli:
     def test_export_and_balance(self, tmp_path):
@@ -77,6 +122,18 @@ class TestCli:
         ]) == 0
         rom = json.loads(rom_path.read_text())
         assert rom["r"] == 2
+        want = balance(models.pendulum(3), 3).reduce(2).sys
+        assert systems_equal(system_from_dict(rom["rom"]), want)
+
+    def test_malformed_artifact_block_is_parse_error(self, tmp_path, capsys):
+        art_path = tmp_path / "art.json"
+        main(["balance", "--model", "pendulum:3", "--degree", "2", "--out", str(art_path)])
+        art = json.loads(art_path.read_text())
+        art["Tbar"]["terms"]["2"] = [["1.0"]]
+        art_path.write_text(json.dumps(art))
+        assert main(["reduce", "--artifact", str(art_path), "-r", "1",
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert "(1, 1)" in capsys.readouterr().err
 
     def test_reduce_r_out_of_range(self, tmp_path):
         art_path = tmp_path / "art.json"
@@ -99,6 +156,16 @@ class TestCli:
         code = main(["balance", "--file", str(path), "--degree", "2",
                      "--out", str(tmp_path / "a.json")])
         assert code == 2
+
+    def test_contract_violation_exit_code(self, tmp_path, monkeypatch, capsys):
+        def broken(sys, d_transf):
+            raise ContractViolation("residual does not contract")
+
+        monkeypatch.setattr("nlbt.cli.balance", broken)
+        assert main(["balance", "--model", "pendulum:3", "--degree", "2",
+                     "--out", str(tmp_path / "a.json")]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "contract_violation"
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

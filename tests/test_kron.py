@@ -124,6 +124,27 @@ class TestSymmetrize:
                 a, b = pm(x), sym(x)
                 npt.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
 
+    def test_symmetrized_copy_is_cached_and_idempotent(self):
+        pm = PolyMap({2: np.arange(4.0)[None, :]}, 2)
+        sym = pm.symmetrized()
+        assert pm.symmetrized() is sym
+        assert sym.symmetrized() is sym
+
+    def test_symmetrized_copy_freed_without_cycle_collection(self):
+        # large transforms are symmetrized once per balancing run; a reference
+        # cycle would keep each copy alive until the next full collection
+        import gc
+        import weakref
+
+        pm = PolyMap({2: np.ones((1, 4))}, 2)
+        ref = weakref.ref(pm.symmetrized())
+        gc.disable()
+        try:
+            del pm
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestJacobian:
     def test_linear(self):

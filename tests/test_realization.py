@@ -9,11 +9,14 @@ from nlbt.errors import HypothesisViolation
 from nlbt.kron import ControlAffineSystem, PolyMap
 from nlbt.pipeline import balance
 from nlbt.realization import (
+    BalancingTransform,
+    _coupling,
     balanced_drift,
     balanced_input,
     balanced_output,
     build_rom,
     inverse_transform_coeffs,
+    truncate_columns,
     truncate_transform,
 )
 
@@ -193,12 +196,112 @@ class TestTruncation:
             assert best < 1e-6, (got, want1)
 
 
+def assert_truncation_of(got, full, r, rows, tol=1e-12):
+    """``got`` equals ``full`` on its leading ``rows`` rows and retained columns.
+
+    Relative to the largest coefficient of ``full``: coefficients that vanish
+    in exact arithmetic carry rounding noise of that size.
+    """
+    n = full.base_dim
+    assert got.base_dim == r and got.rows == rows
+    assert set(got.terms) == set(full.terms)
+    scale = max(np.abs(W).max() for W in full.terms.values())
+    for k, W in full.terms.items():
+        want = truncate_columns(W[:rows], n, r, k)
+        assert np.abs(got.terms[k] - want).max() <= tol * scale, k
+
+
+def assert_rom_is_truncated_realization(pl, r, d_rom=None, g_degree=None):
+    full = pl.realize(d_rom, g_degree=g_degree).sys
+    x0 = np.linspace(-0.03, 0.05, full.n)
+    rom = pl.reduce(r, d_rom=d_rom, x0=x0, g_degree=g_degree)
+    assert_truncation_of(rom.sys.f, full.f, r, r)
+    assert len(rom.sys.g) == full.m
+    for got, want in zip(rom.sys.g, full.g):
+        assert_truncation_of(got, want, r, r)
+    assert_truncation_of(rom.sys.h, full.h, r, full.p)
+    assert np.array_equal(rom.x_r0, pl.P(x0)[:r])
+
+
+ZOO_CASES = [
+    ("2d-illustrative", 7, 7),
+    ("3d-illustrative-exact", 3, 3),
+    ("double-pendulum", 5, 5),
+    ("beam", 2, 2),
+]
+
+
+@pytest.fixture(scope="module")
+def zoo_pipelines():
+    return {
+        name: balance(models.by_name(name, degree), d) for name, degree, d in ZOO_CASES
+    }
+
+
+class TestTruncateFirst:
+    @pytest.mark.parametrize(
+        "name,r",
+        [
+            (name, r)
+            for name, degree, _ in ZOO_CASES
+            for r in range(1, models.by_name(name, degree).n + 1)
+        ],
+    )
+    def test_rom_is_truncated_full_realization(self, zoo_pipelines, name, r):
+        assert_rom_is_truncated_realization(zoo_pipelines[name], r)
+
+    def test_rom_degree_above_transform_degree(self):
+        pl = balance(models.double_pendulum(5), 1)
+        assert_rom_is_truncated_realization(pl, 2, d_rom=5)
+
+    def test_input_degree_override(self, zoo_pipelines):
+        assert_rom_is_truncated_realization(zoo_pipelines["double-pendulum"], 2, g_degree=5)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_recursions_on_random_system(self, r):
+        # two inputs with state-dependent g, a generic (non-balancing) transform
+        d, n = 3, 3
+        sys = random_cubic_system(n, seed=21)
+        Tbar = random_transform(n, d, seed=22)
+        Tinv = la.inv(Tbar.term(1))
+        assert_truncation_of(
+            balanced_drift(sys.f, Tbar, Tinv, d, r), balanced_drift(sys.f, Tbar, Tinv, d), r, n
+        )
+        for gc in sys.g:
+            assert_truncation_of(
+                balanced_input(gc, Tbar, Tinv, d, r), balanced_input(gc, Tbar, Tinv, d), r, n
+            )
+        assert_truncation_of(
+            balanced_output(sys.h, Tbar, d, r), balanced_output(sys.h, Tbar, d), r, sys.p
+        )
+
+    @pytest.mark.parametrize("i,jj", [(2, 0), (2, 1), (3, 0), (3, 2), (4, 1)])
+    def test_coupling_on_retained_columns(self, i, jj):
+        from nlbt.kron import right_kway_product, symmetrize_columns
+
+        n, r = 4, 2
+        rng = np.random.default_rng(30 + i + jj)
+        Ti = symmetrize_columns(rng.standard_normal((3, n ** i)), n, i)
+        B = rng.standard_normal((n, n ** jj))
+        want = truncate_columns(right_kway_product(Ti, B, i, n), n, r, i - 1 + jj)
+        got = _coupling(Ti, truncate_columns(B, n, r, jj), i, n, r)
+        npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_full_order_is_bit_identical(self, zoo_pipelines):
+        pl = zoo_pipelines["beam"]
+        full = pl.realize().sys
+        rom = pl.reduce(full.n)
+        for got, want in [(rom.sys.f, full.f), (rom.sys.h, full.h), *zip(rom.sys.g, full.g)]:
+            assert all(np.array_equal(got.terms[k], W) for k, W in want.terms.items())
+
+
 class TestBuildRom:
     def test_full_order_rom_reproduces_balanced(self):
         pl = balance(models.pendulum(3), 3)
         bal = pl.realize()
         x0 = np.array([0.05, -0.02])
-        rom = build_rom(bal, 2, x0=x0)
+        transform = BalancingTransform(pl.sys, pl.Tbar, pl.Tbar1_inv, pl.P, pl.hankel)
+        rom = build_rom(transform, 2, 3, x0=x0)
         for k in (1, 2, 3):
             npt.assert_allclose(rom.sys.f.term(k), bal.sys.f.term(k), atol=1e-13)
         npt.assert_allclose(rom.x_r0, pl.P(x0), rtol=1e-12)
