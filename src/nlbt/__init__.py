@@ -30,7 +30,6 @@ from .kron import (
 )
 from .pipeline import BalancedPipeline, balance
 from .realization import (
-    BalancedRealization,
     BalancingTransform,
     ReducedOrderModel,
     build_rom,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalancedPipeline",
-    "BalancedRealization",
     "BalancingError",
     "BalancingTransform",
     "ContractViolation",

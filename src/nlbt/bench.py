@@ -5,11 +5,8 @@ import time
 import numpy as np
 
 from .errors import ResourceRefusal
-from .inod import compute_inod_transform
 from .models import random_stable_poly
-from .energy import solve_controllability_energy, solve_observability_energy
-from .realization import balanced_system, inverse_transform_coeffs
-from .scaling import assemble_scaling_coeffs, compose_balancing, scaling_series_for
+from .pipeline import balance
 
 __all__ = ["estimate_bytes", "run_bench"]
 
@@ -26,10 +23,14 @@ def run_bench(sizes, d_energy=3, repetitions=1, seed=0, budget_bytes=8 << 30, sy
 
     ``d_energy`` is the energy-function degree; the transform and ROM degree
     is one less, following the benchmark convention of reporting complexity
-    against the energy degree.  Every degree of both energies is one solve
-    of the Schur-form k-way Lyapunov solver, so one algorithm is timed
-    across all sizes.  Returns a list of row dicts with per-stage seconds
-    (mean over repetitions) plus their variance.
+    against the energy degree.  Each repetition runs :func:`~nlbt.pipeline.balance`,
+    whose ``stage_s`` gives the ``energy``, ``inod`` and ``balance`` seconds,
+    and times :meth:`~nlbt.pipeline.BalancedPipeline.realize` (the full
+    balanced realization) as ``realization``.  Every degree of both energies
+    is one solve of the Schur-form k-way Lyapunov solver, so one algorithm is
+    timed across all sizes.  Returns a list of row dicts with per-stage
+    seconds (mean over repetitions) plus their variance; ``total`` is the sum
+    of the four stage means.
     """
     if d_energy < 2:
         raise ValueError("energy degree must be at least 2")
@@ -45,22 +46,12 @@ def run_bench(sizes, d_energy=3, repetitions=1, seed=0, budget_bytes=8 << 30, sy
         per_stage = {s: [] for s in STAGES}
         for rep in range(repetitions):
             sys = random_stable_poly(n, sys_degree, seed=seed + rep)
+            pl = balance(sys, d_transf)
             t0 = time.perf_counter()
-            Ec = solve_controllability_energy(sys, d_energy)
-            Eo = solve_observability_energy(sys, d_energy)
-            t1 = time.perf_counter()
-            inod = compute_inod_transform(Ec, Eo, d_transf)
-            t2 = time.perf_counter()
-            A_series = scaling_series_for(inod.sq_sv, d_transf)
-            scaling_map = assemble_scaling_coeffs(A_series, n, d_transf)
-            Tbar = compose_balancing(inod.transform, scaling_map, d_transf)
-            Tbar1_inv = (1.0 / A_series[:, 1])[:, None] * inod.t1_inverse
-            inverse_transform_coeffs(Tbar, Tbar1_inv, d_transf)
-            t3 = time.perf_counter()
-            balanced_system(sys, Tbar, Tbar1_inv, d_transf)
-            t4 = time.perf_counter()
-            for s, dt in zip(STAGES, np.diff([t0, t1, t2, t3, t4])):
-                per_stage[s].append(dt)
+            pl.realize()
+            stage_s = dict(pl.stage_s, realization=time.perf_counter() - t0)
+            for s in STAGES:
+                per_stage[s].append(stage_s[s])
         row = {"n": n}
         total = 0.0
         for s in STAGES:

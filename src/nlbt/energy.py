@@ -355,7 +355,11 @@ def solve_controllability_energy(sys, d):
     Degree 2 inverts the controllability Gramian (the Hessian of the energy is
     the Gramian inverse); each degree k >= 3 solves against
     ``L_k(A + B B^T V_2)^T``, whose operator is nonsingular for a Hurwitz,
-    controllable linearization; all degrees share one Schur form.
+    controllable linearization; all degrees share one Schur form.  The
+    quadratic input term ``1/2 |dE/dx g(x)|^2`` is one batched contraction
+    per degree pair over the stacked input coefficients
+    ``G_p = [G_p^(1) ... G_p^(m)]``, for constant and state-dependent ``g``
+    alike.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -375,45 +379,29 @@ def solve_controllability_energy(sys, d):
     V2 = 0.5 * (V2 + V2.T)
     v = {2: V2.reshape(-1)}
     fac = SchurFactor(A + B @ B.T @ V2)
-    constant_g = all(set(gc.terms) <= {0} for gc in sys.g)
+    m = sys.m
+    G = {p: sys.stacked_g(p) for p in set().union(*(gc.terms for gc in sys.g))}
     for k in range(3, d + 1):
         b = np.zeros(n ** k)
         for j in range(2, k):
             if j in sys.f.terms:
                 i = k - j + 1
                 b += right_kway_product(v[i][None, :], sys.f.terms[j], i, n).ravel()
-        # quadratic input term: pair up degree parts of (dE/dx) g^(l), excluding
-        # the unknown v_k (its linear appearance is folded into A + B B^T V_2)
-        if constant_g:
-            # all input columns are constant: batch the columns in one
-            # contraction (v_i symmetric, so one slot stands in for all i)
-            rho = {}
-            for s in range(1, k):
-                i = s + 1
-                if i >= k:
-                    rho[s] = None
-                    continue
-                rho[s] = 0.5 * i * (B.T @ v[i].reshape(n, -1))
-            for s in range(1, k):
-                t = k - s
-                if rho[s] is not None and rho[t] is not None:
-                    b += (rho[s].T @ rho[t]).reshape(-1)
-        else:
-            for gc in sys.g:
-                rho = {}
-                for s in range(1, k):
-                    acc = np.zeros(n ** s)
-                    for i in range(2, k):
-                        p = s - i + 1
-                        if 0 <= p and p in gc.terms:
-                            acc += 0.5 * right_kway_product(
-                                v[i][None, :], gc.terms[p].reshape(n, -1), i, n
-                            ).ravel()
-                    rho[s] = acc
-                for s in range(1, k):
-                    t = k - s
-                    if np.any(rho[s]) and np.any(rho[t]):
-                        b += np.kron(rho[s], rho[t])
+        # quadratic input term: pair up the degree-s parts rho_s of
+        # (dE/dx) g, all m columns at once, excluding the unknown v_k (its
+        # linear appearance is folded into A + B B^T V_2).  v_i is symmetric,
+        # so its first slot stands in for all i.
+        rho = {}
+        for s in range(1, k):
+            for i in range(2, min(s + 1, k - 1) + 1):
+                p = s - i + 1
+                if p in G:
+                    term = 0.5 * i * (G[p].T @ v[i].reshape(n, -1)).reshape(m, -1)
+                    rho[s] = term if s not in rho else rho[s] + term
+        for s in range(1, k):
+            t = k - s
+            if s in rho and t in rho:
+                b += (rho[s].T @ rho[t]).reshape(-1)
         b = symmetrize_columns(b[None, :], n, k).ravel()
         v[k] = solve_kway_transposed(fac, k, -b)
     return EnergyFunction._from_symmetric(n, v)

@@ -35,12 +35,10 @@ __all__ = [
     "balanced_drift",
     "balanced_input",
     "balanced_output",
-    "balanced_system",
     "inverse_transform_coeffs",
     "truncate_columns",
     "truncate_transform",
     "build_rom",
-    "BalancedRealization",
     "BalancingTransform",
     "ReducedOrderModel",
 ]
@@ -54,8 +52,6 @@ def _sym_terms(Tbar):
 
 def _retained_terms(Ts, n, r):
     """``Ts`` on the columns whose multi-indices only touch states < r."""
-    if r == n:
-        return Ts
     return {k: truncate_columns(W, n, r, k) for k, W in Ts.items()}
 
 
@@ -160,20 +156,6 @@ def balanced_output(h, Tbar, d, r=None):
     return PolyMap(Hbar, r, rows=h.rows)
 
 
-def balanced_system(sys, Tbar, Tbar1_inv, d, g_degree=None):
-    """Full balanced realization of ``sys`` under ``Tbar``.
-
-    Drift and output run to degree ``d``; the input map runs to ``g_degree``,
-    by default ``d - 1`` (a degree-d model template pairs a degree-d drift
-    with a degree-(d-1) input map).
-    """
-    dg = d - 1 if g_degree is None else g_degree
-    fbar = balanced_drift(sys.f, Tbar, Tbar1_inv, d)
-    gbar = [balanced_input(gc, Tbar, Tbar1_inv, dg) for gc in sys.g]
-    hbar = balanced_output(sys.h, Tbar, d)
-    return ControlAffineSystem(fbar, gbar, hbar)
-
-
 def inverse_transform_coeffs(Tbar, Tbar1_inv, d):
     """Series inverse ``P`` of the balancing transformation.
 
@@ -210,9 +192,12 @@ def _retained_column_map(n, r, k):
 
 
 def truncate_columns(W, n, r, k):
-    """Keep the columns of ``W`` whose multi-indices only involve states < r."""
-    if k == 0:
-        return W.copy()
+    """Keep the columns of ``W`` whose multi-indices only involve states < r.
+
+    Returns ``W`` itself when no column is dropped (r = n or k = 0).
+    """
+    if k == 0 or r == n:
+        return W
     return W[:, _retained_column_map(n, r, k)]
 
 
@@ -225,29 +210,12 @@ def truncate_transform(Tbar, r):
     n = Tbar.base_dim
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}")
+    if r == n and 0 not in Tbar.terms:
+        return Tbar  # nothing to drop, and PolyMap terms are read-only
     terms = {
         k: truncate_columns(W, n, r, k) for k, W in Tbar.terms.items() if k >= 1
     }
     return PolyMap(terms, r, rows=Tbar.rows)
-
-
-class BalancedRealization:
-    """Balanced-coordinate system plus the transforms that produced it."""
-
-    def __init__(self, sys, Tbar, P, hankel):
-        self.sys = sys
-        self.Tbar = Tbar
-        self.P = P
-        self.hankel = np.asarray(hankel, dtype=float)
-
-    @property
-    def sigma_condition(self):
-        """Hankel spread ``sigma_1/sigma_n``: the balance-then-truncate conditioning."""
-        return float(self.hankel[0] / self.hankel[-1])
-
-    def initial_condition(self, x0):
-        """Map a full-state initial condition into balanced coordinates."""
-        return self.P(np.asarray(x0, dtype=float))
 
 
 class BalancingTransform:
@@ -255,8 +223,9 @@ class BalancingTransform:
 
     Everything :func:`build_rom` reads: the system ``sys``, the transform
     ``Tbar``, the inverse ``Tbar1_inv`` of its linear coefficient, the series
-    inverse ``P`` and the Hankel values.  A
-    :class:`~nlbt.pipeline.BalancedPipeline` carries the same attributes.
+    inverse ``P`` and the Hankel values.  A balancing run,
+    :class:`~nlbt.pipeline.BalancedPipeline`, is one of these; ``nlbt reduce``
+    builds one from a saved artifact.
     """
 
     def __init__(self, sys, Tbar, Tbar1_inv, P, hankel):
@@ -265,6 +234,11 @@ class BalancingTransform:
         self.Tbar1_inv = np.asarray(Tbar1_inv, dtype=float)
         self.P = P
         self.hankel = np.asarray(hankel, dtype=float)
+
+    @property
+    def sigma_condition(self):
+        """Hankel spread ``sigma_1/sigma_n``: the balance-then-truncate conditioning."""
+        return float(self.hankel[0] / self.hankel[-1])
 
 
 class ReducedOrderModel:
@@ -292,19 +266,22 @@ class ReducedOrderModel:
 
 
 def _leading_rows(pm, r):
+    if r == pm.rows:
+        return pm
     return PolyMap({k: W[:r] for k, W in pm.terms.items()}, pm.base_dim, rows=r)
 
 
 def build_rom(balancing, r, d_rom, x0=None, g_degree=None):
     """Order-``r`` ROM of ``balancing.sys`` (balance-then-truncate).
 
-    ``balancing`` is a :class:`BalancingTransform` or anything with the same
-    attributes, such as a :class:`~nlbt.pipeline.BalancedPipeline`.  The
-    drift/input/output recursions run on retained columns only (see the
-    module docstring) to degree ``d_rom``, input map to ``g_degree`` (default
-    ``d_rom - 1``); the ROM keeps the leading ``r`` rows of drift and input.
-    The result equals truncating the full balanced realization, and
-    ``r = n`` reproduces it.
+    ``balancing`` is a :class:`BalancingTransform`, such as a
+    :class:`~nlbt.pipeline.BalancedPipeline`.  The drift/input/output
+    recursions run on retained columns only (see the module docstring) to
+    degree ``d_rom``, input map to ``g_degree`` (default ``d_rom - 1``); the
+    ROM keeps the leading ``r`` rows of drift and input.  This is the one
+    realization path: ``r = n`` is the full balanced realization, which
+    :meth:`~nlbt.pipeline.BalancedPipeline.realize` returns, and ``r < n``
+    equals truncating it.
     """
     sys = balancing.sys
     n = sys.n

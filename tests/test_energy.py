@@ -21,6 +21,7 @@ from nlbt.kron import (
     kway_lyap_apply,
     kway_lyap_matrix,
     polymap_from_monomials,
+    right_kway_product,
     symmetrize_columns,
 )
 from nlbt.pipeline import balance
@@ -109,6 +110,75 @@ class TestControllability:
         Wo = la.solve_continuous_lyapunov(A.T, -C.T @ C)
         npt.assert_allclose(Ec.hessian, la.inv(Wc), rtol=1e-10)
         npt.assert_allclose(Eo.hessian, Wo, rtol=1e-10)
+
+
+def mixed_input_system(seed=1, n=3):
+    """Stable quadratic drift and three input columns of degrees {0,1}, {0,2}, {1,3}."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A -= (np.max(la.eigvals(A).real) + 1.0) * np.eye(n)
+    f = PolyMap({1: A, 2: 0.3 * rng.standard_normal((n, n ** 2))}, n)
+    g = [
+        PolyMap({p: (1.0 if p == 0 else 0.4) * rng.standard_normal((n, n ** p)) for p in degrees},
+                n, rows=n)
+        for degrees in ((0, 1), (0, 2), (1, 3))
+    ]
+    h = PolyMap({1: rng.standard_normal((2, n))}, n)
+    return ControlAffineSystem(f, g, h)
+
+
+def per_column_controllability_energy(sys, d):
+    """Controllability energy with the quadratic input term summed column by column.
+
+    The reference for the batched input term: each column's degree-s part
+    ``rho_s`` of ``(dE/dx) g`` comes from the full k-way product over all
+    slots of ``v_i``, and the degree-k term adds ``kron(rho_s, rho_t)``.
+    """
+    n = sys.n
+    V2 = solve_controllability_energy(sys, 2).hessian
+    v = {2: V2.reshape(-1)}
+    fac = SchurFactor(sys.A + sys.B @ sys.B.T @ V2)
+    for k in range(3, d + 1):
+        b = np.zeros(n ** k)
+        for j in range(2, k):
+            if j in sys.f.terms:
+                i = k - j + 1
+                b += right_kway_product(v[i][None, :], sys.f.terms[j], i, n).ravel()
+        for gc in sys.g:
+            rho = {}
+            for s in range(1, k):
+                rho[s] = np.zeros(n ** s)
+                for i in range(2, k):
+                    p = s - i + 1
+                    if p in gc.terms:
+                        rho[s] += 0.5 * right_kway_product(
+                            v[i][None, :], gc.terms[p].reshape(n, -1), i, n
+                        ).ravel()
+            for s in range(1, k):
+                b += np.kron(rho[s], rho[k - s])
+        b = symmetrize_columns(b[None, :], n, k).ravel()
+        v[k] = solve_kway_transposed(fac, k, -b)
+    return v
+
+
+class TestStateDependentInputs:
+    D = 5
+
+    def test_batched_input_term_matches_per_column_sum(self):
+        sys = mixed_input_system()
+        got = solve_controllability_energy(sys, self.D).coeffs
+        want = per_column_controllability_energy(sys, self.D)
+        assert set(got) == set(want)
+        for k in want:
+            scale = np.abs(want[k]).max()
+            assert scale > 0
+            assert np.abs(got[k] - want[k]).max() <= 1e-12 * scale, k
+
+    def test_hjb_ray_scaling(self):
+        sys = mixed_input_system()
+        Ec = solve_controllability_energy(sys, self.D)
+        slope = ray_slope(lambda x: hjb_residual(Ec, sys, x, "controllability"), sys.n, seed=3)
+        assert slope >= self.D + 0.5
 
 
 class TestResidual:

@@ -11,7 +11,13 @@ from nlbt.energy import (
     solve_observability_energy,
 )
 from nlbt.errors import BalancingError, ContractViolation, HypothesisViolation
-from nlbt.inod import InodResult, _check_contracts, compute_inod_transform, linear_balancing
+from nlbt.inod import (
+    InodResult,
+    _check_contracts,
+    _contracts_short,
+    compute_inod_transform,
+    linear_balancing,
+)
 from nlbt.kron import PolyMap
 
 
@@ -20,6 +26,13 @@ def energies_for(sys, d):
         solve_controllability_energy(sys, d),
         solve_observability_energy(sys, d),
     )
+
+
+def with_coefficient_error(result, k, delta):
+    """``result`` with ``delta`` added to its degree-k transform coefficient."""
+    terms = dict(result.transform.terms)
+    terms[k] = result.transform.term(k) + delta
+    return InodResult(PolyMap(terms, result.transform.base_dim), result.t1_inverse, result.sq_sv)
 
 
 class TestLinearBalancing:
@@ -135,9 +148,7 @@ class TestContractCheck:
         self.good = compute_inod_transform(self.Ec, self.Eo, self.D)
 
     def corrupted(self, delta):
-        terms = dict(self.good.transform.terms)
-        terms[2] = terms[2] + delta
-        return InodResult(PolyMap(terms, 3), self.good.t1_inverse, self.good.sq_sv)
+        return with_coefficient_error(self.good, 2, delta)
 
     def test_contract_violation_is_a_balancing_error(self):
         assert issubclass(ContractViolation, BalancingError)
@@ -170,6 +181,41 @@ class TestContractCheck:
         _check_contracts(self.good, self.Ec, self.Eo, self.D, n_dirs=1, seed=seed)
         with pytest.raises(ContractViolation):
             _check_contracts(self.corrupted(t0 * D), self.Ec, self.Eo, self.D, n_dirs=1, seed=seed)
+
+    def test_correct_transform_whose_residual_cancels_at_the_outer_radius(self):
+        # A degree-(D+2) term keeps the degree-D transform correct and adds a
+        # residual term of order |z|^(D+3).  Scaled so that it cancels the
+        # leading |z|^(D+2) term at the outer radius, the pair of radii 3e-2,
+        # 3e-3 falls short; the check passes because the pair 1e-2, 1e-3,
+        # where the added term is 3x weaker, does not.
+        seed, k = 3, self.D + 2
+        z = np.random.default_rng(seed).standard_normal(3)
+        z /= np.linalg.norm(z)
+        D = np.random.default_rng(12).standard_normal((3, 3 ** k))
+
+        def perturbed(t):
+            return with_coefficient_error(self.good, k, t * D)
+
+        def resid(t, eps=3e-2):
+            return self.Ec.value(perturbed(t).transform(eps * z)) - 0.5 * eps ** 2
+
+        ts = np.concatenate([-np.logspace(6, -3, 300), np.logspace(-3, 6, 300)])
+        vals = np.array([resid(t) for t in ts])
+        i = min(np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:])), key=lambda j: abs(ts[j]))
+        t0 = brentq(resid, ts[i], ts[i + 1], xtol=1e-14, rtol=1e-15)
+        assert _contracts_short(resid(t0), resid(t0, 3e-3), 0.0, self.D)
+        _check_contracts(perturbed(t0), self.Ec, self.Eo, self.D, n_dirs=1, seed=seed)
+
+    @pytest.mark.parametrize("name", ["3d-illustrative-exact", "2d-illustrative"])
+    def test_small_degree_two_error(self, name):
+        # a wrong T_2 leaves a residual of order |z|^3: it contracts 10^3 per
+        # decade, short of the 10^(d+1.5) asked of a degree-d transform
+        d = 3
+        Ec, Eo = energies_for(models.by_name(name), d + 1)
+        good = compute_inod_transform(Ec, Eo, d)
+        delta = 1e-4 * np.random.default_rng(0).standard_normal(good.transform.term(2).shape)
+        with pytest.raises(ContractViolation):
+            _check_contracts(with_coefficient_error(good, 2, delta), Ec, Eo, d)
 
 
 class TestGaugeInvariants:
