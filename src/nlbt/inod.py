@@ -3,7 +3,10 @@
 After the linear stage normalizes the energies (controllability Hessian I,
 observability Hessian diag(sigma_i^2)), each transform degree k is found by
 collecting the degree-(k+1) coefficients of two conditions on the composed
-energies: the controllability energy must stay exactly quadratic, and the
+energies.  Their known part is each energy composed with the transform found
+so far, ``Phi = T_1 (z + T_2 + ... + T_{k-1})``, by
+:func:`nlbt.kron.compose_degree`; energy degrees that are not stored count as
+zero.  The controllability energy must stay exactly quadratic, and the
 observability energy may carry only pure powers z_i^(k+1) (whose values define
 the singular-value-function coefficients).  The resulting linear system
 decouples monomial by monomial; each monomial gives at most two equations in
@@ -19,9 +22,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import ContractViolation, HypothesisViolation
-from .kron import PolyMap, apply_kron_vec, column_multi_indices, mat_times_kron
+from .kron import PolyMap, column_multi_indices, compose_degree
 from .kron import _symmetry_groups
-from .kron import compositions as _compositions
 
 __all__ = [
     "SqSingularValueFns",
@@ -124,11 +126,6 @@ def linear_balancing(Ec, Eo, gap_tol=1e-10):
     return T1, T1inv, s
 
 
-def _transform_energy_coeffs(E, T1):
-    """Coefficient vectors of ``E(T1 z)``: v_k -> (T1^T)^(k) v_k."""
-    return {k: apply_kron_vec(T1.T, v, k) for k, v in E.coeffs.items()}
-
-
 def compute_inod_transform(Ec, Eo, d_transf, gap_tol=1e-10):
     """Degree-``d_transf`` input-normal/output-diagonal transform.
 
@@ -151,33 +148,28 @@ def compute_inod_transform(Ec, Eo, d_transf, gap_tol=1e-10):
     # energy degrees above the stored maximum are treated as exactly zero
     T1, T1inv, hankel = linear_balancing(Ec, Eo, gap_tol=gap_tol)
     sig2 = hankel ** 2
-    vt = _transform_energy_coeffs(Ec, T1)
-    wt = _transform_energy_coeffs(Eo, T1)
-    Ttil = {1: np.eye(n)}
+    # each energy as a 1-row map, composed with the transform found so far
+    ec_map = {k: v[None, :] for k, v in Ec.coeffs.items()}
+    eo_map = {k: v[None, :] for k, v in Eo.coeffs.items()}
+    Phi = {1: T1}
     c = np.zeros((n, max(d_transf, 1)))
     c[:, 0] = sig2
     for k in range(2, d_transf + 1):
-        q = k + 1
-        known_a = np.zeros(n ** q)
-        known_b = np.zeros(n ** q)
-        for j in range(2, q + 1):
-            for comp in _compositions(q, j):
-                if any(ci >= k or ci not in Ttil for ci in comp):
-                    continue
-                factors = [Ttil[ci] for ci in comp]
-                if j in vt:
-                    known_a += mat_times_kron(vt[j][None, :], factors).ravel()
-                if j in wt:
-                    known_b += mat_times_kron(wt[j][None, :], factors).ravel()
+        # Phi holds degrees < k: the known part of the degree-(k+1) energies
+        known_a = _composed_energy(ec_map, Phi, n, k + 1)
+        known_b = _composed_energy(eo_map, Phi, n, k + 1)
         Tk, c_k = _solve_degree(known_a, known_b, sig2, n, k)
-        Ttil[k] = Tk
+        Phi[k] = T1 @ Tk
         c[:, k - 1] = c_k
-    transform = PolyMap(
-        {k: (T1 if k == 1 else T1 @ W) for k, W in Ttil.items()}, n, rows=n
-    )
-    result = InodResult(transform, T1inv, SqSingularValueFns(c))
+    result = InodResult(PolyMap(Phi, n, rows=n), T1inv, SqSingularValueFns(c))
     _check_contracts(result, Ec, Eo, d_transf)
     return result
+
+
+def _composed_energy(E, Phi, n, q):
+    """Degree-q coefficient vector of ``E(Phi(z))``; zeros if no term contributes."""
+    acc = compose_degree(E, Phi, q)
+    return np.zeros(n ** q) if acc is None else acc.ravel()
 
 
 @lru_cache(maxsize=8)

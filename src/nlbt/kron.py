@@ -9,6 +9,12 @@ the multi-index ``(i_1, ..., i_k)`` with ``1 <= i_j <= base_dim`` is
 
 so the leftmost factor is the most significant digit.  This ordering is the
 exchange-format contract used by the ``kps-1`` serializer.
+
+One operation builds everything the method derives from a transform ``T``:
+the degree-k coefficient ``sum_j M_j Tcal_{j,k}`` of a composition
+``M(T(z))``, :func:`compose_degree`.  The transformed energies, the balancing
+transformation, its series inverse and the balanced-realization recursions
+all go through it (:func:`compose` applies it degree by degree).
 """
 
 import itertools
@@ -24,7 +30,6 @@ __all__ = [
     "multi_index_to_column",
     "column_to_multi_index",
     "symmetrize_columns",
-    "apply_kron_vec",
     "mat_times_kron",
     "kway_lyap_matrix",
     "kway_lyap_apply",
@@ -32,6 +37,7 @@ __all__ = [
     "compositions",
     "tensor_sum",
     "mat_times_tensor_sum",
+    "compose_degree",
     "compose",
 ]
 
@@ -100,17 +106,6 @@ def symmetrize_columns(W, n, k):
     sums = np.zeros((W.shape[0], counts.size))
     np.add.at(sums.T, inv, W.T)
     return (sums / counts)[:, inv]
-
-
-def apply_kron_vec(M, v, k):
-    """Apply ``M (x) ... (x) M`` (k factors) to a vector of length ``M.shape[1]**k``."""
-    mcols = M.shape[1]
-    t = v
-    for _ in range(k):
-        # contract the trailing slot and place its image first: k products
-        # cycle through all slots in order
-        t = M @ t.reshape(-1, mcols).T
-    return t.reshape(-1)
 
 
 def mat_times_kron(M, factors):
@@ -374,26 +369,35 @@ class PolyMap:
         return f"PolyMap(rows={self.rows}, base_dim={self.base_dim}, degrees={degs})"
 
 
+def compose_degree(maps, T, k):
+    """Degree-k coefficient ``sum_j M_j Tcal_{j,k}`` of the composition ``M(T(z))``.
+
+    ``maps`` maps degree ``j`` to ``M_j`` and ``T`` maps degree ``i`` to
+    ``T_i``; degree-0 entries of either are never read, and absent degrees
+    count as zero.  Returns None when no term contributes.
+    """
+    acc = None
+    for j in range(1, k + 1):
+        if j in maps:
+            term = mat_times_tensor_sum(maps[j], T, j, k)
+            if term is not None:
+                acc = term if acc is None else acc + term
+    return acc
+
+
 def compose(P, T, d_out):
     """Composition ``P(T(z))`` truncated to degree ``d_out``.
 
     ``T`` must have no constant term.  The degree-i coefficient of the result
-    is ``sum_j P_j @ tensor_sum(T, j, i)``.
+    is :func:`compose_degree` ``(P.terms, T.terms, i)``.
     """
     if 0 in T.terms and np.any(T.terms[0]):
         raise ValueError("compose requires T without a constant term")
     if P.base_dim != T.rows:
         raise ValueError("dimension mismatch: P.base_dim != T.rows")
-    Tt = {k: W for k, W in T.terms.items() if k >= 1}
     out = {}
     for i in range(1, d_out + 1):
-        acc = None
-        for j in range(1, i + 1):
-            if j not in P.terms:
-                continue
-            term = mat_times_tensor_sum(P.terms[j], Tt, j, i)
-            if term is not None:
-                acc = term if acc is None else acc + term
+        acc = compose_degree(P.terms, T.terms, i)
         if acc is not None:
             out[i] = acc
     if 0 in P.terms:

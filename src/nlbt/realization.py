@@ -1,5 +1,8 @@
 """Explicit balanced realization, inverse transformation, and truncation.
 
+Every known term is a composition with the symmetrized transform: the drift,
+input and output maps through :func:`nlbt.kron.compose` (once per map, before
+the degree loop), the series inverse through :func:`nlbt.kron.compose_degree`.
 The drift/input recursions isolate each unknown coefficient behind the
 (analytically invertible) linear transform coefficient instead of inverting
 the full nonlinear Jacobian.  The degree-0 input column transforms as
@@ -26,7 +29,10 @@ import numpy as np
 from .kron import (
     ControlAffineSystem,
     PolyMap,
-    mat_times_tensor_sum,
+    column_multi_indices,
+    compose,
+    compose_degree,
+    mat_times_kron,
     right_kway_product,
     symmetrize_columns,
 )
@@ -44,24 +50,16 @@ __all__ = [
 ]
 
 
-def _sym_terms(Tbar):
-    """Symmetrized transform coefficients, keyed by degree (degree >= 1)."""
-    sym = Tbar.symmetrized()
-    return {k: W for k, W in sym.terms.items() if k >= 1}
-
-
-def _retained_terms(Ts, n, r):
-    """``Ts`` on the columns whose multi-indices only touch states < r."""
-    return {k: truncate_columns(W, n, r, k) for k, W in Ts.items()}
-
-
 def _coupling(Ti, B, i, n, r):
     """``Ti L_i(B)`` on retained columns, for ``Ti`` symmetric in its ``i`` slots.
 
     ``B`` holds retained columns only.  At ``r = n`` this is
     :func:`right_kway_product`.  Below, symmetry makes every slot's term a
     placement of one product: ``Ti`` on the columns whose first ``i - 1``
-    slots are retained, contracted with ``B`` over the last slot.
+    slots are retained, contracted with ``B`` over the last slot.  The
+    ``r == n`` branch stays although the placement covers it: it is the
+    cheaper route at full order, and the criterion-6 scaling slope (see
+    ROADMAP), which times ``realize()``, has no margin for extra cost there.
     """
     if r == n:
         return right_kway_product(Ti, B, i, n)
@@ -74,18 +72,7 @@ def _coupling(Ti, B, i, n, r):
     )
 
 
-def _composition(maps, Ts_r, k):
-    """``sum_j M_j Tcal_{j,k}`` over the given ``{j: M_j}``; None if no term."""
-    acc = None
-    for j in range(1, k + 1):
-        if j in maps:
-            term = mat_times_tensor_sum(maps[j], Ts_r, j, k)
-            if term is not None:
-                acc = term if acc is None else acc + term
-    return acc
-
-
-def _solve_recursion(maps, seed, Tbar, Tbar1_inv, d, r, couple_top):
+def _solve_recursion(pm, seed, Tbar, Tbar1_inv, d, r, couple_top):
     """Drift/input recursion (see :func:`balanced_drift`) on retained columns.
 
     ``seed`` holds the known low degrees; the coupling index ``i`` runs to
@@ -93,18 +80,16 @@ def _solve_recursion(maps, seed, Tbar, Tbar1_inv, d, r, couple_top):
     constant term).
     """
     n = Tbar.rows
-    Ts = _sym_terms(Tbar)
-    Ts_r = _retained_terms(Ts, n, r)
-    dT = max(Ts)
+    Tsym = Tbar.symmetrized()
+    Ts = Tsym.terms
+    comp = compose(pm, truncate_transform(Tsym, r), d)
     Xbar = dict(seed)
     for k in range(1, d + 1):
-        rhs = _composition(maps, Ts_r, k)
-        if rhs is None:
-            rhs = np.zeros((n, r ** k))
-        for i in range(2, min(k + couple_top, dT) + 1):
+        rhs = comp.term(k)
+        for i in range(2, min(k + couple_top, Tsym.degree) + 1):
             jj = k - i + 1
             if jj in Xbar:
-                rhs -= _coupling(Ts[i], Xbar[jj], i, n, r)
+                rhs = rhs - _coupling(Ts[i], Xbar[jj], i, n, r)
         Xbar[k] = Tbar1_inv @ symmetrize_columns(rhs, r, k)
     return PolyMap(Xbar, r, rows=n)
 
@@ -122,7 +107,7 @@ def balanced_drift(f, Tbar, Tbar1_inv, d, r=None):
     """
     n = Tbar.rows
     r = n if r is None else r
-    return _solve_recursion(f.terms, {}, Tbar, Tbar1_inv, d, r, 0)
+    return _solve_recursion(f, {}, Tbar, Tbar1_inv, d, r, 0)
 
 
 def balanced_input(g_column, Tbar, Tbar1_inv, d, r=None):
@@ -136,7 +121,7 @@ def balanced_input(g_column, Tbar, Tbar1_inv, d, r=None):
     n = Tbar.rows
     r = n if r is None else r
     seed = {0: Tbar1_inv @ g_column.term(0)}
-    return _solve_recursion(g_column.terms, seed, Tbar, Tbar1_inv, d, r, 1)
+    return _solve_recursion(g_column, seed, Tbar, Tbar1_inv, d, r, 1)
 
 
 def balanced_output(h, Tbar, d, r=None):
@@ -145,14 +130,9 @@ def balanced_output(h, Tbar, d, r=None):
     With a retained order ``r`` (default ``n``) this is ``h`` composed with
     the truncated transform ``Tbar^(r)``.
     """
-    n = Tbar.rows
-    r = n if r is None else r
-    Ts_r = _retained_terms(_sym_terms(Tbar), n, r)
-    Hbar = {}
-    for k in range(1, d + 1):
-        acc = _composition(h.terms, Ts_r, k)
-        if acc is not None:
-            Hbar[k] = symmetrize_columns(acc, r, k)
+    r = Tbar.rows if r is None else r
+    comp = compose(h, truncate_transform(Tbar.symmetrized(), r), d)
+    Hbar = {k: symmetrize_columns(W, r, k) for k, W in comp.terms.items() if k >= 1}
     return PolyMap(Hbar, r, rows=h.rows)
 
 
@@ -164,16 +144,12 @@ def inverse_transform_coeffs(Tbar, Tbar1_inv, d):
     Satisfies ``P(Tbar(z)) = z + O(|z|^(d+1))``.
     """
     n = Tbar.rows
-    Ts = _sym_terms(Tbar)
-    from .kron import mat_times_kron
-
+    Ts = Tbar.symmetrized().terms
     P = {1: np.asarray(Tbar1_inv, dtype=float)}
     for i in range(2, d + 1):
-        acc = np.zeros((n, n ** i))
-        for j in range(1, i):
-            term = mat_times_tensor_sum(P[j], Ts, j, i)
-            if term is not None:
-                acc += term
+        acc = compose_degree(P, Ts, i)
+        if acc is None:
+            acc = np.zeros((n, n ** i))
         P[i] = symmetrize_columns(-mat_times_kron(acc, [P[1]] * i), n, i)
     return PolyMap(P, n, rows=n)
 
@@ -181,12 +157,7 @@ def inverse_transform_coeffs(Tbar, Tbar1_inv, d):
 @lru_cache(maxsize=64)
 def _retained_column_map(n, r, k):
     """For each of the r^k retained columns, its source column among n^k."""
-    src = np.zeros(r ** k, dtype=np.int64)
-    rem = np.arange(r ** k, dtype=np.int64)
-    for j in range(k - 1, -1, -1):
-        digit = rem // r ** j
-        rem = rem % r ** j
-        src = src * n + digit
+    src = column_multi_indices(r, k) @ n ** np.arange(k - 1, -1, -1)
     src.setflags(write=False)
     return src
 

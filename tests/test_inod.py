@@ -139,6 +139,18 @@ class TestInodTransform:
             mixed = np.array([len(set(row)) > 1 for row in idx])
             assert np.abs(W[0, mixed]).max() <= 1e-8 * lead
 
+    def test_absent_energy_degrees_count_as_zero(self):
+        # energies kept to degree 2 are exactly quadratic: the degree-3
+        # transform needs degrees 3 and 4, which then contribute nothing
+        Ec, Eo = energies_for(models.pendulum(5), 2)
+        res = compute_inod_transform(Ec, Eo, 3)
+        T1, _, s = linear_balancing(Ec, Eo)
+        npt.assert_array_equal(res.transform.term(1), T1)
+        for k in (2, 3):
+            npt.assert_array_equal(res.transform.term(k), 0)
+        npt.assert_array_equal(res.sq_sv.coeffs[:, 0], s ** 2)
+        npt.assert_array_equal(res.sq_sv.coeffs[:, 1:], 0)
+
 
 class TestContractCheck:
     D = 2

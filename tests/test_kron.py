@@ -10,6 +10,7 @@ from nlbt.kron import (
     column_multi_indices,
     column_to_multi_index,
     compose,
+    compose_degree,
     kron_power,
     kway_lyap_apply,
     kway_lyap_matrix,
@@ -300,6 +301,33 @@ class TestCompose:
         right = compose(P, compose(T, S, d), d).symmetrized()
         for k in (1, 2, 3):
             npt.assert_allclose(left.term(k), right.term(k), rtol=1e-12, atol=1e-12)
+
+    def test_compose_degree_is_compose_term(self):
+        rng = np.random.default_rng(13)
+        P = PolyMap({k: rng.standard_normal((2, 3 ** k)) for k in (0, 1, 2, 3)}, 3)
+        T = PolyMap({k: rng.standard_normal((3, 2 ** k)) for k in (1, 2)}, 2, rows=3)
+        d = 4
+        comp = compose(P, T, d)
+        for k in range(1, d + 1):
+            npt.assert_array_equal(compose_degree(P.terms, T.terms, k), comp.term(k))
+
+    def test_compose_degree_none_without_contribution(self):
+        # T has no linear term: degree 3 would need T_1 or T_3
+        rng = np.random.default_rng(14)
+        maps = {1: rng.standard_normal((2, 2)), 2: rng.standard_normal((2, 4))}
+        T = {2: rng.standard_normal((2, 4))}
+        assert compose_degree(maps, T, 3) is None
+        assert compose_degree(maps, T, 1) is None
+        npt.assert_allclose(compose_degree(maps, T, 2), maps[1] @ T[2], rtol=1e-14)
+
+    def test_compose_degree_ignores_constant_term(self):
+        rng = np.random.default_rng(15)
+        maps = {k: rng.standard_normal((2, 2 ** k)) for k in (1, 2)}
+        T = {k: rng.standard_normal((2, 2 ** k)) for k in (1, 2)}
+        with_constant = {**maps, 0: np.full((2, 1), 1e6)}
+        for k in (1, 2, 3):
+            npt.assert_array_equal(compose_degree(with_constant, T, k), compose_degree(maps, T, k))
+        assert compose_degree({0: np.ones((2, 1))}, T, 2) is None
 
 
 class TestControlAffineSystem:
