@@ -68,7 +68,7 @@ class EnergyFunction:
             self.coeffs[int(k)] = v
         for v in self.coeffs.values():
             v.setflags(write=False)
-        self._polymap = None
+        self._polymap = None  # 2 E, see _doubled
 
     @property
     def degree(self):
@@ -79,30 +79,33 @@ class EnergyFunction:
         return self.coeffs[2].reshape(self.n, self.n)
 
     def value(self, x):
+        """``E(x)`` at a point, or at each row of a 2-D ``x``."""
         x = np.asarray(x, dtype=float)
-        out = 0.0
-        xk = np.ones(1)
-        cur = 0
-        for k, v in sorted(self.coeffs.items()):
-            while cur < k:
-                xk = (xk[:, None] * x[None, :]).ravel()
-                cur += 1
-            out += v @ xk
-        return 0.5 * out
+        if x.ndim == 2:
+            return 0.5 * self._doubled().evaluate(x)[:, 0]
+        return 0.5 * self._doubled()(x)[0]
 
     def gradient(self, x):
         """Row gradient ``dE/dx`` at ``x``."""
-        return self.as_polymap().jacobian(x).ravel()
+        return 0.5 * self._doubled().jacobian(x).ravel()
+
+    def _doubled(self):
+        """``2 E`` as a 1-row PolyMap on the coefficient vectors themselves; cached.
+
+        Evaluation goes through it: halved coefficients would be a second
+        ``n^k``-sized copy of every degree for as long as the energy lives.
+        """
+        if self._polymap is None:
+            self._polymap = PolyMap._adopt(
+                {k: v[None, :] for k, v in self.coeffs.items()}, self.n, 1, symmetric=True
+            )
+        return self._polymap
 
     def as_polymap(self):
-        """View the energy as a 1-row PolyMap (coefficients already halved)."""
-        if self._polymap is None:
-            pm = PolyMap(
-                {k: 0.5 * v[None, :] for k, v in self.coeffs.items()}, self.n, rows=1
-            )
-            pm._is_symmetric = True  # coefficients are symmetric by construction
-            self._polymap = pm
-        return self._polymap
+        """The energy as a new 1-row PolyMap (coefficients already halved)."""
+        return PolyMap._adopt(
+            {k: 0.5 * v[None, :] for k, v in self.coeffs.items()}, self.n, 1, symmetric=True
+        )
 
     def __repr__(self):
         return f"EnergyFunction(n={self.n}, degree={self.degree})"

@@ -15,12 +15,22 @@ the degree-k coefficient ``sum_j M_j Tcal_{j,k}`` of a composition
 ``M(T(z))``, :func:`compose_degree`.  The transformed energies, the balancing
 transformation, its series inverse and the balanced-realization recursions
 all go through it (:func:`compose` applies it degree by degree).
+
+One evaluator computes every value: a map is folded, once and lazily, onto
+its unique monomials (the columns of equal multisets summed), so the degree-k
+part is ``C_k m_k(x)`` with ``C_k`` of shape ``(rows, C(n+k-1, k))``.  The
+monomials are built degree by degree, ``m_k[j] = x[lead_j] m_{k-1}[parent_j]``,
+and each degree costs one product.  :class:`PolyMap` evaluation (one point or
+many) and its Jacobian, the system right-hand side and the energies all go
+through it.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "PolyMap",
@@ -86,7 +96,12 @@ def column_to_multi_index(col, n, k):
 
 @lru_cache(maxsize=64)
 def _symmetry_groups(n, k):
-    """Group id and group size per column, grouping columns with equal multisets."""
+    """Columns grouped by the multiset of their multi-index: the unique monomials.
+
+    Returns the group id per column, the size of each group and its smallest
+    column, which is the column of the sorted multi-index.  Groups are
+    numbered in increasing order of that column.
+    """
     idx = column_multi_indices(n, k)
     keys = np.sort(idx, axis=1)
     enc = np.zeros(keys.shape[0], dtype=np.int64)
@@ -94,7 +109,159 @@ def _symmetry_groups(n, k):
         enc = enc * n + keys[:, j]
     uniq, inv = np.unique(enc, return_inverse=True)
     counts = np.bincount(inv, minlength=uniq.size)
-    return inv, counts
+    return inv, counts, uniq
+
+
+def _monomial_start(n, k):
+    """Position of the first degree-k monomial when degrees 0, 1, ... are concatenated."""
+    return math.comb(n + k - 1, k - 1) if k else 0
+
+
+def _monomial_step(n, k):
+    """``(lead, parent)`` with ``m_k = x[lead] * m[parent]`` over unique monomials.
+
+    ``m`` holds the monomials of all degrees below k, concatenated from
+    degree 0.  Monomial j of degree k has a sorted multi-index; its first
+    index is ``lead_j`` and the remaining ``k - 1`` form the degree-(k-1)
+    monomial at ``m[parent_j]``.
+    """
+    _, _, reps = _symmetry_groups(n, k)
+    inv_prev, _, _ = _symmetry_groups(n, k - 1)
+    lead, rest = np.divmod(reps, n ** (k - 1))
+    return lead, inv_prev[rest] + _monomial_start(n, k - 1)
+
+
+@lru_cache(maxsize=16)
+def _group_sum(n, k):
+    """Sparse ``(monomials, n**k)`` 0/1 matrix that sums each column group."""
+    inv, counts, _ = _symmetry_groups(n, k)
+    cols = inv.size
+    return sparse.csc_array(
+        (np.ones(cols), inv, np.arange(cols + 1)), shape=(counts.size, cols)
+    )
+
+
+def _fold(W, n, k, symmetric):
+    """``W`` on the unique degree-k monomials: shape ``(rows, monomials)``.
+
+    A symmetric ``W`` needs one column per group times the group size;
+    otherwise each group is summed.
+    """
+    if k < 2:
+        return W
+    if symmetric:
+        _, counts, reps = _symmetry_groups(n, k)
+        return W[:, reps] * counts
+    return (_group_sum(n, k) @ W.T).T
+
+
+def _degree_runs(degrees):
+    """Split sorted degrees into maximal runs of consecutive ones, as ``(lo, hi)``."""
+    runs = []
+    for k in degrees:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return [tuple(r) for r in runs]
+
+
+def _row_selector(idx):
+    """A slice when the row indices are consecutive, else the index array."""
+    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
+
+
+class _Compact:
+    """A polynomial map on unique monomials, ``sum_k C_k m_k(x)``.
+
+    The monomials of degrees ``0..top`` are built into one vector, degree k
+    from ``start[k]``, by :func:`_monomial_step`.  ``products``
+    holds ``(rows, lo, hi, C)``: ``C`` times the monomials of degrees
+    ``lo..hi`` adds to the output ``rows``.  Each product is one run of
+    consecutive degrees shared by the stacked maps it holds, so a map costs
+    one product per run and no coefficient is padded.  Holds no reference to
+    the maps it was folded from.
+    """
+
+    def __init__(self, n, rows, products):
+        self.n = n
+        self.rows = rows
+        self.products = products
+        top = max((hi for _, _, hi, _ in products), default=0)
+        self.start = [_monomial_start(n, k) for k in range(top + 2)]
+        start = self.start
+        self.steps = [(start[k], start[k + 1], *_monomial_step(n, k)) for k in range(2, top + 1)]
+        self.spans = [(rows, start[lo], start[hi + 1], C) for rows, lo, hi, C in products]
+        filled = np.zeros(rows, dtype=int)
+        for sel, _, _, _ in products:
+            filled[sel] += 1
+        self.tiled = bool(np.all(filled == 1))  # each output row from one product: assign
+
+    @classmethod
+    def fold(cls, maps):
+        """Fold PolyMaps over one base, stacked by rows."""
+        n = maps[0].base_dim
+        starts = np.cumsum([0] + [pm.rows for pm in maps])
+        groups = {}  # (lo, hi) -> [(map index, its coefficients on that run)]
+        for i, pm in enumerate(maps):
+            for lo, hi in _degree_runs(sorted(pm.terms)):
+                C = np.hstack(
+                    [_fold(pm.terms[k], n, k, pm._is_symmetric) for k in range(lo, hi + 1)]
+                )
+                groups.setdefault((lo, hi), []).append((i, C))
+        products = []
+        for (lo, hi), parts in sorted(groups.items()):
+            idx = np.concatenate([np.arange(starts[i], starts[i + 1]) for i, _ in parts])
+            C = parts[0][1] if len(parts) == 1 else np.vstack([C for _, C in parts])
+            products.append((_row_selector(idx), lo, hi, C))
+        return cls(n, int(starts[-1]), products)
+
+    def __call__(self, x):
+        """Values at ``x`` of shape ``(n,)``, or at each column of ``x`` of shape ``(n, N)``."""
+        buf = np.empty((self.start[-1],) + x.shape[1:])
+        buf[0] = 1.0
+        if len(self.start) > 2:
+            buf[1 : self.n + 1] = x
+        for a, b, lead, parent in self.steps:
+            np.multiply(x[lead], buf[parent], out=buf[a:b])
+        shape = (self.rows,) + x.shape[1:]
+        # ndarray.dot: less call overhead than @
+        if self.tiled:
+            out = np.empty(shape)
+            for rows, a, b, C in self.spans:
+                out[rows] = C.dot(buf[a:b])
+        else:
+            out = np.zeros(shape)
+            for rows, a, b, C in self.spans:
+                out[rows] += C.dot(buf[a:b])
+        return out
+
+    def derivative(self):
+        """The Jacobian as a compact map with ``rows * n`` rows, row-major.
+
+        ``d(m_k)/dx_i`` is a degree-(k-1) monomial ``mu`` times the
+        multiplicity of ``i`` in ``mu + e_i``, so degree k contributes
+        ``C_k[:, up(mu, i)] * mult(mu, i)`` at degree k - 1.
+        """
+        n = self.n
+        all_rows = np.arange(self.rows)
+        products = []
+        for rows, lo, hi, C in self.products:
+            blocks = []
+            for k in range(max(lo, 1), hi + 1):
+                Ck = C[:, self.start[k] - self.start[lo] : self.start[k + 1] - self.start[lo]]
+                inv, counts, _ = _symmetry_groups(n, k)
+                _, counts_prev, reps_prev = _symmetry_groups(n, k - 1)
+                up = inv[np.arange(n) * n ** (k - 1) + reps_prev[:, None]]
+                mult = k * counts_prev[:, None] // counts[up]
+                D = (Ck[:, up] * mult).transpose(0, 2, 1)  # (rows, n, monomials)
+                blocks.append(D.reshape(-1, up.shape[0]))
+            if blocks:
+                drows = (all_rows[rows][:, None] * n + np.arange(n)).ravel()
+                products.append((_row_selector(drows), max(lo, 1) - 1, hi - 1, np.hstack(blocks)))
+        return _Compact(n, self.rows * n, products)
 
 
 def symmetrize_columns(W, n, k):
@@ -102,7 +269,7 @@ def symmetrize_columns(W, n, k):
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if k < 2:
         return W.copy()
-    inv, counts = _symmetry_groups(n, k)
+    inv, counts, _ = _symmetry_groups(n, k)
     sums = np.zeros((W.shape[0], counts.size))
     np.add.at(sums.T, inv, W.T)
     return (sums / counts)[:, inv]
@@ -260,7 +427,14 @@ def polymap_from_monomials(n, rows, entries):
         perms = set(itertools.permutations(letters))
         for perm in perms:
             W[row, multi_index_to_column(perm, n)] += coeff / len(perms)
-    return PolyMap(by_degree, n, rows=rows)
+    return PolyMap._adopt(by_degree, n, rows, symmetric=True)
+
+
+def _point(x, n):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"expected input of length {n}, got {x.shape}")
+    return x
 
 
 class PolyMap:
@@ -275,6 +449,9 @@ class PolyMap:
         Dimension of the input vector.
     rows : int, optional
         Number of output rows; inferred from the terms when omitted.
+
+    The coefficients are copied and read-only.  Evaluation goes through the
+    unique-monomial form (see the module docstring), folded on first use.
     """
 
     def __init__(self, terms, base_dim, rows=None):
@@ -298,13 +475,29 @@ class PolyMap:
             clean[k] = W
         if rows is None:
             raise ValueError("rows must be given for an empty PolyMap")
-        self.base_dim = base_dim
+        self._set(clean, base_dim, rows, symmetric=False)
+
+    @classmethod
+    def _adopt(cls, terms, base_dim, rows, symmetric=False):
+        """Wrap fresh, well-shaped coefficient arrays without copying (internal results).
+
+        ``symmetric`` marks coefficients that are symmetric by construction.
+        """
+        self = cls.__new__(cls)
+        self._set(terms, base_dim, rows, symmetric)
+        return self
+
+    def _set(self, terms, base_dim, rows, symmetric):
+        self.base_dim = int(base_dim)
         self.rows = int(rows)
-        self.terms = dict(sorted(clean.items()))
+        self.terms = dict(sorted(terms.items()))
         for W in self.terms.values():
             W.setflags(write=False)
         self._symmetric = None  # cached symmetrized copy
-        self._is_symmetric = False  # a flag, not self in _symmetric: no reference cycle
+        self._is_symmetric = symmetric  # a flag, not self in _symmetric: no reference cycle
+        self._compact = None  # unique-monomial form, and that of the Jacobian
+        self._compact_jac = None
+        self._truncations = {}  # column truncations by retained order, see truncate_transform
 
     @property
     def degree(self):
@@ -317,51 +510,53 @@ class PolyMap:
             return np.zeros((self.rows, self.base_dim ** k))
         return W
 
+    def _folded(self):
+        if self._compact is None:
+            self._compact = _Compact.fold([self])
+        return self._compact
+
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.base_dim,):
-            raise ValueError(f"expected input of length {self.base_dim}, got {x.shape}")
-        out = np.zeros(self.rows)
-        xk = np.ones(1)
-        cur = 0
-        for k, W in self.terms.items():
-            while cur < k:
-                xk = (xk[:, None] * x[None, :]).ravel()
-                cur += 1
-            out += W @ xk
-        return out
+        return self._folded()(_point(x, self.base_dim))
+
+    def evaluate(self, X):
+        """Values at many points: ``X`` of shape ``(N, base_dim)`` gives ``(N, rows)``.
+
+        A map not yet folded is folded for this batch only: the batch pays
+        for its fold, and the map keeps no unique-monomial copy.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.base_dim:
+            raise ValueError(f"expected points of shape (N, {self.base_dim}), got {X.shape}")
+        compact = self._compact if self._compact is not None else _Compact.fold([self])
+        return compact(X.T).T
 
     def symmetrized(self):
         """Copy with all coefficient matrices symmetrized; cached."""
         if self._is_symmetric:
             return self
         if self._symmetric is None:
-            sym = PolyMap(
+            self._symmetric = PolyMap._adopt(
                 {k: symmetrize_columns(W, self.base_dim, k) for k, W in self.terms.items()},
                 self.base_dim,
-                rows=self.rows,
+                self.rows,
+                symmetric=True,
             )
-            sym._is_symmetric = True
-            self._symmetric = sym
         return self._symmetric
 
     def jacobian(self, x):
-        """Jacobian ``sum_k k W_k (I (x) x^(k-1))`` at ``x`` (symmetrizes first)."""
-        sym = self.symmetrized()
-        x = np.asarray(x, dtype=float)
+        """Jacobian ``d(self)/dx`` at ``x``, shape ``(rows, base_dim)``."""
+        if self._compact_jac is None:
+            self._compact_jac = self._folded().derivative()
         n = self.base_dim
-        out = np.zeros((self.rows, n))
-        for k, W in sym.terms.items():
-            if k == 0:
-                continue
-            xk = kron_power(x, k - 1)
-            out += k * (W.reshape(self.rows * n, n ** (k - 1)) @ xk).reshape(self.rows, n)
-        return out
+        return self._compact_jac(_point(x, n)).reshape(self.rows, n)
 
     def truncated(self, d):
         """Drop all terms of degree above ``d``."""
-        return PolyMap(
-            {k: W for k, W in self.terms.items() if k <= d}, self.base_dim, rows=self.rows
+        return PolyMap._adopt(
+            {k: W for k, W in self.terms.items() if k <= d},
+            self.base_dim,
+            self.rows,
+            symmetric=self._is_symmetric,
         )
 
     def __repr__(self):
@@ -402,7 +597,7 @@ def compose(P, T, d_out):
             out[i] = acc
     if 0 in P.terms:
         out[0] = P.terms[0]
-    return PolyMap(out, T.base_dim, rows=P.rows)
+    return PolyMap._adopt(out, T.base_dim, P.rows)
 
 
 class ControlAffineSystem:
@@ -410,7 +605,8 @@ class ControlAffineSystem:
 
     ``f`` and ``h`` are :class:`PolyMap` over the state (no constant term in
     ``f``: the origin is an equilibrium).  ``g`` is stored per input column as
-    PolyMaps that may carry a degree-0 (constant) term.
+    PolyMaps that may carry a degree-0 (constant) term.  ``f`` and the input
+    columns are evaluated together, as one stacked map on unique monomials.
     """
 
     def __init__(self, f, g_columns, h):
@@ -430,6 +626,7 @@ class ControlAffineSystem:
         self.n = n
         self.m = len(self.g)
         self.p = h.rows
+        self._compact = None  # [f; g_1; ...; g_m] on unique monomials
 
     @property
     def A(self):
@@ -443,13 +640,24 @@ class ControlAffineSystem:
     def C(self):
         return self.h.term(1)
 
+    def _stacked(self, x):
+        """``[f(x); g_1(x); ...; g_m(x)]`` from one monomial vector."""
+        if self._compact is None:
+            self._compact = _Compact.fold([self.f, *self.g])
+        return self._compact(_point(x, self.n))
+
+    def release_fold(self):
+        """Drop the unique-monomial form of ``[f; g]``; the next evaluation folds again."""
+        self._compact = None
+
     def input_matrix(self, x):
         """``g(x)`` evaluated as an ``n x m`` matrix."""
-        return np.column_stack([gc(x) for gc in self.g])
+        return self._stacked(x)[self.n :].reshape(self.m, self.n).T
 
     def rhs(self, x, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        return self.f(x) + self.input_matrix(x) @ u
+        y = self._stacked(x)
+        return y[: self.n] + u.dot(y[self.n :].reshape(self.m, self.n))
 
     def output(self, x):
         return self.h(x)

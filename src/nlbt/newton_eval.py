@@ -132,5 +132,4 @@ def eval_balanced_rhs_newton(sys, inod, zbar, u, tol=DEFAULT_TOL, max_iter=DEFAU
     x = inod.transform(z)
     jac_inv_scaling = _inverse_scaling_jacobian_diag(inod.sq_sv, z)
     J = inod.transform.jacobian(z) / jac_inv_scaling[None, :]
-    xdot = sys.f(x) + sys.input_matrix(x) @ u
-    return la.solve(J, xdot), sys.h(x)
+    return la.solve(J, sys.rhs(x, u)), sys.h(x)

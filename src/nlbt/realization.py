@@ -57,9 +57,10 @@ def _coupling(Ti, B, i, n, r):
     :func:`right_kway_product`.  Below, symmetry makes every slot's term a
     placement of one product: ``Ti`` on the columns whose first ``i - 1``
     slots are retained, contracted with ``B`` over the last slot.  The
-    ``r == n`` branch stays although the placement covers it: it is the
-    cheaper route at full order, and the criterion-6 scaling slope (see
-    ROADMAP), which times ``realize()``, has no margin for extra cost there.
+    placement covers ``r == n`` too, and is the faster route there as well.
+    The ``r == n`` branch is kept only for the criterion-6 scaling slope (see
+    the ROADMAP's standing constraint): that slope times ``realize()``, and
+    a faster full-order realization at large n lowers it below its bound.
     """
     if r == n:
         return right_kway_product(Ti, B, i, n)
@@ -91,7 +92,7 @@ def _solve_recursion(pm, seed, Tbar, Tbar1_inv, d, r, couple_top):
             if jj in Xbar:
                 rhs = rhs - _coupling(Ts[i], Xbar[jj], i, n, r)
         Xbar[k] = Tbar1_inv @ symmetrize_columns(rhs, r, k)
-    return PolyMap(Xbar, r, rows=n)
+    return PolyMap._adopt(Xbar, r, n, symmetric=True)
 
 
 def balanced_drift(f, Tbar, Tbar1_inv, d, r=None):
@@ -133,7 +134,7 @@ def balanced_output(h, Tbar, d, r=None):
     r = Tbar.rows if r is None else r
     comp = compose(h, truncate_transform(Tbar.symmetrized(), r), d)
     Hbar = {k: symmetrize_columns(W, r, k) for k, W in comp.terms.items() if k >= 1}
-    return PolyMap(Hbar, r, rows=h.rows)
+    return PolyMap._adopt(Hbar, r, h.rows, symmetric=True)
 
 
 def inverse_transform_coeffs(Tbar, Tbar1_inv, d):
@@ -145,13 +146,13 @@ def inverse_transform_coeffs(Tbar, Tbar1_inv, d):
     """
     n = Tbar.rows
     Ts = Tbar.symmetrized().terms
-    P = {1: np.asarray(Tbar1_inv, dtype=float)}
+    P = {1: np.array(Tbar1_inv, dtype=float)}
     for i in range(2, d + 1):
         acc = compose_degree(P, Ts, i)
         if acc is None:
             acc = np.zeros((n, n ** i))
         P[i] = symmetrize_columns(-mat_times_kron(acc, [P[1]] * i), n, i)
-    return PolyMap(P, n, rows=n)
+    return PolyMap._adopt(P, n, n, symmetric=True)
 
 
 @lru_cache(maxsize=64)
@@ -176,17 +177,22 @@ def truncate_transform(Tbar, r):
     """Reduced transform ``T^(r)``: eliminate columns touching truncated states.
 
     Evaluating the result at ``x_r`` equals evaluating ``Tbar`` at
-    ``[x_r; 0]``.
+    ``[x_r; 0]``.  The result is cached on ``Tbar`` (its terms are
+    read-only), so the recursions of one ROM slice the transform once.
     """
     n = Tbar.base_dim
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}")
     if r == n and 0 not in Tbar.terms:
         return Tbar  # nothing to drop, and PolyMap terms are read-only
-    terms = {
-        k: truncate_columns(W, n, r, k) for k, W in Tbar.terms.items() if k >= 1
-    }
-    return PolyMap(terms, r, rows=Tbar.rows)
+    Tr = Tbar._truncations.get(r)
+    if Tr is None:
+        terms = {
+            k: truncate_columns(W, n, r, k) for k, W in Tbar.terms.items() if k >= 1
+        }
+        Tr = PolyMap._adopt(terms, r, Tbar.rows, symmetric=Tbar._is_symmetric)
+        Tbar._truncations[r] = Tr
+    return Tr
 
 
 class BalancingTransform:
@@ -239,7 +245,10 @@ class ReducedOrderModel:
 def _leading_rows(pm, r):
     if r == pm.rows:
         return pm
-    return PolyMap({k: W[:r] for k, W in pm.terms.items()}, pm.base_dim, rows=r)
+    # copies, so the ROM does not keep the full-order rows alive
+    return PolyMap._adopt(
+        {k: W[:r].copy() for k, W in pm.terms.items()}, pm.base_dim, r, symmetric=pm._is_symmetric
+    )
 
 
 def build_rom(balancing, r, d_rom, x0=None, g_degree=None):

@@ -36,6 +36,18 @@ def naive_eval(terms, x):
     return out
 
 
+def naive_jacobian(terms, x, rows):
+    """Nested-loop oracle for the Jacobian: the product rule over every slot."""
+    n = len(x)
+    out = np.zeros((rows, n))
+    for k, W in terms.items():
+        for col, idx in enumerate(itertools.product(range(n), repeat=k)):
+            for slot, i in enumerate(idx):
+                rest = idx[:slot] + idx[slot + 1 :]
+                out[:, i] += W[:, col] * np.prod([x[j] for j in rest])
+    return out
+
+
 class TestKronPower:
     def test_pair(self):
         npt.assert_allclose(kron_power([1, 2], 2), [1, 2, 2, 4])
@@ -160,15 +172,115 @@ class TestJacobian:
     def test_against_finite_differences(self):
         rng = np.random.default_rng(5)
         terms = {k: rng.standard_normal((3, 3 ** k)) for k in (1, 2, 3)}
-        pm = PolyMap(terms, 3).symmetrized()
         x = rng.standard_normal(3) * 0.5
-        J = pm.jacobian(x)
         h = 1e-5
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            fd = (pm(x + e) - pm(x - e)) / (2 * h)
-            npt.assert_allclose(J[:, j], fd, rtol=1e-6, atol=1e-8)
+        # a symmetric map folds by gathering, the raw one by summing groups
+        for pm in (PolyMap(terms, 3).symmetrized(), PolyMap(terms, 3)):
+            J = pm.jacobian(x)
+            for j in range(3):
+                e = np.zeros(3)
+                e[j] = h
+                fd = (pm(x + e) - pm(x - e)) / (2 * h)
+                npt.assert_allclose(J[:, j], fd, rtol=1e-6, atol=1e-8)
+
+
+def _random_terms(rng, rows, n, degrees):
+    return {k: rng.standard_normal((rows, n ** k)) for k in degrees}
+
+
+# (rows, base_dim, degrees): non-symmetric maps, constant only, gaps in the
+# degrees, and a scalar base
+COMPACT_CASES = {
+    "non-symmetric": (2, 3, (0, 1, 2, 3)),
+    "degree-0-only": (3, 2, (0,)),
+    "gaps": (2, 3, (0, 2, 4)),
+    "gap-at-one": (2, 2, (1, 3)),
+    "base-dim-1": (2, 1, (0, 1, 2, 3, 4)),
+}
+
+
+class TestCompactEvaluator:
+    @pytest.fixture(params=sorted(COMPACT_CASES))
+    def case(self, request):
+        rows, n, degrees = COMPACT_CASES[request.param]
+        rng = np.random.default_rng(len(request.param))
+        terms = _random_terms(rng, rows, n, degrees)
+        X = 0.7 * rng.standard_normal((5, n))
+        return PolyMap(terms, n, rows=rows), terms, X
+
+    def test_call_matches_nested_loops(self, case):
+        pm, terms, X = case
+        for x in X:
+            want = naive_eval(terms, x)
+            npt.assert_allclose(pm(x), want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+    def test_evaluate_matches_nested_loops(self, case):
+        pm, terms, X = case
+        want = np.array([naive_eval(terms, x) for x in X])
+        got = pm.evaluate(X)
+        assert got.shape == (X.shape[0], pm.rows)
+        npt.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+    def test_jacobian_matches_nested_loops(self, case):
+        pm, terms, X = case
+        for x in X:
+            want = naive_jacobian(terms, x, pm.rows)
+            scale = max(np.abs(want).max(), 1.0)
+            npt.assert_allclose(pm.jacobian(x), want, rtol=1e-14, atol=1e-14 * scale)
+
+    def test_symmetric_fold_matches_group_sum(self):
+        # a symmetric map folds by picking one column per monomial; the
+        # general fold sums each group: both give the same values
+        rng = np.random.default_rng(16)
+        pm = PolyMap(_random_terms(rng, 2, 3, (1, 2, 3)), 3)
+        sym = pm.symmetrized()
+        assert sym._is_symmetric and not pm._is_symmetric
+        X = rng.standard_normal((4, 3))
+        npt.assert_allclose(sym.evaluate(X), pm.evaluate(X), rtol=1e-13, atol=1e-14)
+
+    def test_evaluate_shape_checked(self):
+        pm = PolyMap({1: np.eye(2)}, 2)
+        with pytest.raises(ValueError):
+            pm.evaluate(np.ones(2))
+        with pytest.raises(ValueError):
+            pm.evaluate(np.ones((4, 3)))
+
+    def test_compact_cache_freed_without_cycle_collection(self):
+        import gc
+        import weakref
+
+        pm = PolyMap({1: np.eye(2), 2: np.ones((2, 4))}, 2)
+        pm(np.ones(2))
+        pm.jacobian(np.ones(2))
+        refs = [weakref.ref(pm._compact), weakref.ref(pm._compact_jac)]
+        gc.disable()
+        try:
+            del pm
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_evaluate_keeps_no_fold(self):
+        # a batch pays for its own fold; only point calls cache one
+        pm = PolyMap({2: np.ones((1, 4))}, 2)
+        pm.evaluate(np.ones((3, 2)))
+        assert pm._compact is None
+        pm(np.ones(2))
+        assert pm._compact is not None
+
+    def test_compact_entries_within_kronecker_entries(self):
+        # wide-n96 shape: f of degrees 1-2 and 96 constant input columns;
+        # stacking [f; g] over one monomial range would pad g to 9312 x 4753
+        n = 96
+        rng = np.random.default_rng(17)
+        f = PolyMap({1: -np.eye(n), 2: 1e-3 * rng.standard_normal((n, n ** 2))}, n)
+        g = [PolyMap({0: np.eye(n)[:, i : i + 1]}, n, rows=n) for i in range(n)]
+        sys = ControlAffineSystem(f, g, PolyMap({1: np.eye(n)}, n))
+        x, u = 0.1 * rng.standard_normal(n), rng.standard_normal(n)
+        npt.assert_allclose(sys.rhs(x, u), f(x) + u, rtol=1e-13, atol=1e-15)
+        kron = sum(W.size for pm in (f, *g) for W in pm.terms.values())
+        compact = sum(C.size for _, _, _, C in sys._compact.products)
+        assert compact <= kron
 
 
 class TestKwayLyap:
@@ -347,3 +459,47 @@ class TestControlAffineSystem:
         npt.assert_allclose(sys.B, [[1, 0], [0, 2]])
         npt.assert_allclose(sys.stacked_g(0), [[1, 0], [0, 2]])
         npt.assert_allclose(sys.rhs(np.zeros(2), [1.0, 1.0]), [1, 2])
+
+    def test_stacked_evaluation_matches_per_map(self):
+        # f and the input columns have different, gapped degree sets, so the
+        # stacked evaluation fills rows per degree run
+        rng = np.random.default_rng(18)
+        n = 3
+        f = PolyMap(_random_terms(rng, n, n, (1, 3)), n)
+        g = [
+            PolyMap(_random_terms(rng, n, n, degs), n, rows=n)
+            for degs in ((0,), (0, 2), (1, 2, 4))
+        ]
+        sys = ControlAffineSystem(f, g, PolyMap({1: np.eye(n)}, n))
+        for _ in range(3):
+            x, u = 0.6 * rng.standard_normal(n), rng.standard_normal(3)
+            G = np.column_stack([naive_eval(gc.terms, x) for gc in g])
+            npt.assert_allclose(sys.input_matrix(x), G, rtol=1e-13, atol=1e-14)
+            want = naive_eval(f.terms, x) + G @ u
+            npt.assert_allclose(sys.rhs(x, u), want, rtol=1e-13, atol=1e-14)
+        with pytest.raises(ValueError):
+            sys.rhs(np.ones(2), u)
+
+    def test_release_fold(self):
+        f = PolyMap({1: -np.eye(2)}, 2)
+        sys = ControlAffineSystem(f, [PolyMap({0: np.ones((2, 1))}, 2, rows=2)], f)
+        before = sys.rhs(np.ones(2), [1.0])
+        sys.release_fold()
+        assert sys._compact is None
+        npt.assert_array_equal(sys.rhs(np.ones(2), [1.0]), before)
+
+
+class TestAdopt:
+    def test_internal_results_are_read_only_and_not_copied(self):
+        rng = np.random.default_rng(19)
+        W = rng.standard_normal((2, 4))
+        pm = PolyMap._adopt({2: W}, 2, 2)
+        assert pm.terms[2] is W and not W.flags.writeable
+        comp = compose(PolyMap({1: np.eye(2), 2: W}, 2), PolyMap({1: np.eye(2)}, 2), 2)
+        assert not any(V.flags.writeable for V in comp.terms.values())
+
+    def test_public_constructor_copies(self):
+        W = np.ones((1, 4))
+        pm = PolyMap({2: W}, 2)
+        assert not np.shares_memory(pm.terms[2], W)
+        assert W.flags.writeable

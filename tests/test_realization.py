@@ -189,6 +189,14 @@ class TestTruncation:
         xr = np.array([0.3, -0.7])
         npt.assert_allclose(Tr(xr), Tbar(np.array([0.3, -0.7, 0.0])), rtol=1e-12)
 
+    def test_truncated_once_per_transform(self):
+        # the drift, every input column and the output of one ROM share one slice
+        Tbar = random_transform(3, 3, seed=13).symmetrized()
+        Tr = truncate_transform(Tbar, 2)
+        assert truncate_transform(Tbar, 2) is Tr
+        assert Tr._is_symmetric
+        assert truncate_transform(Tbar, 1) is not Tr
+
     def test_three_dim_manifold_map(self):
         # truncating the last state leaves the manifold map
         # (z1, z2) -> (-z1, -z2, z1^3 - z1^2 - z2^2) up to state signs

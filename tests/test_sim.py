@@ -62,6 +62,38 @@ class TestIntegrate:
         assert np.max(np.abs(ref.x - xs_back)) <= 1e-3
 
 
+class TestSimulateSystem:
+    def test_integrates_an_instance_level_rhs_override(self):
+        # a tracer swaps a counting wrapper in for sys.rhs; the simulation
+        # must integrate that attribute, read at call time
+        sys = models.pendulum(3)
+        u = sinusoid(0.5, 1.0)
+        ref = simulate_system(sys, np.array([0.1, 0.0]), u, (0, 2), n_samples=50)
+        rhs = sys.rhs
+        calls = []
+
+        def counted(x, uv):
+            calls.append(1)
+            return rhs(x, uv)
+
+        sys.rhs = counted
+        try:
+            traj = simulate_system(sys, np.array([0.1, 0.0]), u, (0, 2), n_samples=50)
+        finally:
+            del sys.rhs
+        assert len(calls) > 50
+        npt.assert_array_equal(traj.x, ref.x)
+        npt.assert_array_equal(traj.y, ref.y)
+
+    def test_batched_output_matches_per_point_output(self):
+        sys = models.double_pendulum(3)
+        u = sinusoid(0.3, 2.0)
+        traj = simulate_system(sys, np.zeros(4), u, (0, 3), n_samples=101)
+        per_point = np.array([sys.output(x) for x in traj.x])
+        npt.assert_allclose(traj.y, per_point, rtol=1e-13, atol=1e-16)
+        assert sys._compact is None  # a kept system holds no folded [f; g]
+
+
 class TestSignals:
     def test_zero(self):
         npt.assert_allclose(signal("zero")(3.7), [0.0])
@@ -82,6 +114,12 @@ class TestSignals:
         u = white_noise(1.0, seed=3, hold_dt=0.5)
         assert u(0.0) == u(0.49)
         assert u(0.0) != u(0.51)
+
+    def test_white_noise_values_are_read_only(self):
+        # one interval's draw is shared by every evaluation inside it
+        u = white_noise(1.0, seed=3, hold_dt=0.5, m=2)
+        assert not u(0.1).flags.writeable
+        npt.assert_array_equal(u(0.1), u(0.2))
 
 
 class TestL2Error:
