@@ -166,20 +166,13 @@ def _degree_runs(degrees):
     return [tuple(r) for r in runs]
 
 
-def _row_selector(idx):
-    """A slice when the row indices are consecutive, else the index array."""
-    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        return slice(int(idx[0]), int(idx[0]) + idx.size)
-    return idx
-
-
 class _Compact:
     """A polynomial map on unique monomials, ``sum_k C_k m_k(x)``.
 
     The monomials of degrees ``0..top`` are built into one vector, degree k
-    from ``start[k]``, by :func:`_monomial_step`.  ``products``
-    holds ``(rows, lo, hi, C)``: ``C`` times the monomials of degrees
-    ``lo..hi`` adds to the output ``rows``.  Each product is one run of
+    from ``start[k]``, by :func:`_monomial_step`.  ``products`` holds
+    ``(rows, lo, hi, C)``: ``C`` times the monomials of degrees ``lo..hi``
+    adds to the output rows indexed by ``rows``.  Each product is one run of
     consecutive degrees shared by the stacked maps it holds, so a map costs
     one product per run and no coefficient is padded.  Holds no reference to
     the maps it was folded from.
@@ -194,10 +187,6 @@ class _Compact:
         start = self.start
         self.steps = [(start[k], start[k + 1], *_monomial_step(n, k)) for k in range(2, top + 1)]
         self.spans = [(rows, start[lo], start[hi + 1], C) for rows, lo, hi, C in products]
-        filled = np.zeros(rows, dtype=int)
-        for sel, _, _, _ in products:
-            filled[sel] += 1
-        self.tiled = bool(np.all(filled == 1))  # each output row from one product: assign
 
     @classmethod
     def fold(cls, maps):
@@ -215,7 +204,7 @@ class _Compact:
         for (lo, hi), parts in sorted(groups.items()):
             idx = np.concatenate([np.arange(starts[i], starts[i + 1]) for i, _ in parts])
             C = parts[0][1] if len(parts) == 1 else np.vstack([C for _, C in parts])
-            products.append((_row_selector(idx), lo, hi, C))
+            products.append((idx, lo, hi, C))
         return cls(n, int(starts[-1]), products)
 
     def __call__(self, x):
@@ -226,16 +215,9 @@ class _Compact:
             buf[1 : self.n + 1] = x
         for a, b, lead, parent in self.steps:
             np.multiply(x[lead], buf[parent], out=buf[a:b])
-        shape = (self.rows,) + x.shape[1:]
-        # ndarray.dot: less call overhead than @
-        if self.tiled:
-            out = np.empty(shape)
-            for rows, a, b, C in self.spans:
-                out[rows] = C.dot(buf[a:b])
-        else:
-            out = np.zeros(shape)
-            for rows, a, b, C in self.spans:
-                out[rows] += C.dot(buf[a:b])
+        out = np.zeros((self.rows,) + x.shape[1:])
+        for rows, a, b, C in self.spans:
+            out[rows] += C.dot(buf[a:b])  # ndarray.dot: less call overhead than @
         return out
 
     def derivative(self):
@@ -246,7 +228,6 @@ class _Compact:
         ``C_k[:, up(mu, i)] * mult(mu, i)`` at degree k - 1.
         """
         n = self.n
-        all_rows = np.arange(self.rows)
         products = []
         for rows, lo, hi, C in self.products:
             blocks = []
@@ -259,8 +240,8 @@ class _Compact:
                 D = (Ck[:, up] * mult).transpose(0, 2, 1)  # (rows, n, monomials)
                 blocks.append(D.reshape(-1, up.shape[0]))
             if blocks:
-                drows = (all_rows[rows][:, None] * n + np.arange(n)).ravel()
-                products.append((_row_selector(drows), max(lo, 1) - 1, hi - 1, np.hstack(blocks)))
+                drows = (rows[:, None] * n + np.arange(n)).ravel()
+                products.append((drows, max(lo, 1) - 1, hi - 1, np.hstack(blocks)))
         return _Compact(n, self.rows * n, products)
 
 
@@ -497,7 +478,6 @@ class PolyMap:
         self._is_symmetric = symmetric  # a flag, not self in _symmetric: no reference cycle
         self._compact = None  # unique-monomial form, and that of the Jacobian
         self._compact_jac = None
-        self._truncations = {}  # column truncations by retained order, see truncate_transform
 
     @property
     def degree(self):

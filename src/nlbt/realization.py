@@ -22,6 +22,7 @@ retained.  So :func:`build_rom` never forms the full realization, and
 values is the ill-conditioning diagnostic for that computation.
 """
 
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -83,7 +84,7 @@ def _solve_recursion(pm, seed, Tbar, Tbar1_inv, d, r, couple_top):
     n = Tbar.rows
     Tsym = Tbar.symmetrized()
     Ts = Tsym.terms
-    comp = compose(pm, truncate_transform(Tsym, r), d)
+    comp = compose(pm, _retained_transform(Tsym, r), d)
     Xbar = dict(seed)
     for k in range(1, d + 1):
         rhs = comp.term(k)
@@ -132,7 +133,7 @@ def balanced_output(h, Tbar, d, r=None):
     the truncated transform ``Tbar^(r)``.
     """
     r = Tbar.rows if r is None else r
-    comp = compose(h, truncate_transform(Tbar.symmetrized(), r), d)
+    comp = compose(h, _retained_transform(Tbar.symmetrized(), r), d)
     Hbar = {k: symmetrize_columns(W, r, k) for k, W in comp.terms.items() if k >= 1}
     return PolyMap._adopt(Hbar, r, h.rows, symmetric=True)
 
@@ -177,22 +178,37 @@ def truncate_transform(Tbar, r):
     """Reduced transform ``T^(r)``: eliminate columns touching truncated states.
 
     Evaluating the result at ``x_r`` equals evaluating ``Tbar`` at
-    ``[x_r; 0]``.  The result is cached on ``Tbar`` (its terms are
-    read-only), so the recursions of one ROM slice the transform once.
+    ``[x_r; 0]``.
     """
     n = Tbar.base_dim
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}")
     if r == n and 0 not in Tbar.terms:
         return Tbar  # nothing to drop, and PolyMap terms are read-only
-    Tr = Tbar._truncations.get(r)
-    if Tr is None:
-        terms = {
-            k: truncate_columns(W, n, r, k) for k, W in Tbar.terms.items() if k >= 1
-        }
-        Tr = PolyMap._adopt(terms, r, Tbar.rows, symmetric=Tbar._is_symmetric)
-        Tbar._truncations[r] = Tr
-    return Tr
+    terms = {
+        k: truncate_columns(W, n, r, k) for k, W in Tbar.terms.items() if k >= 1
+    }
+    return PolyMap._adopt(terms, r, Tbar.rows, symmetric=Tbar._is_symmetric)
+
+
+_retained = weakref.WeakKeyDictionary()  # symmetrized transform -> (r, its truncation)
+
+
+def _retained_transform(Tsym, r):
+    """:func:`truncate_transform` of the symmetrized transform, for the recursions.
+
+    The drift, every input column and the output of one ROM compose with the
+    same truncation, so the most recent one is kept while ``Tsym`` lives: one
+    slice per ROM, and never more than one retained order held.
+    """
+    if r == Tsym.base_dim:
+        # may return Tsym itself, which as a value would keep its own key alive
+        return truncate_transform(Tsym, r)
+    held = _retained.get(Tsym)
+    if held is None or held[0] != r:
+        held = (r, truncate_transform(Tsym, r))
+        _retained[Tsym] = held
+    return held[1]
 
 
 class BalancingTransform:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +13,7 @@ from nlbt.pipeline import balance
 from nlbt.realization import (
     BalancingTransform,
     _coupling,
+    _retained_transform,
     balanced_drift,
     balanced_input,
     balanced_output,
@@ -189,13 +192,31 @@ class TestTruncation:
         xr = np.array([0.3, -0.7])
         npt.assert_allclose(Tr(xr), Tbar(np.array([0.3, -0.7, 0.0])), rtol=1e-12)
 
-    def test_truncated_once_per_transform(self):
+    def test_recursions_share_one_truncation(self):
         # the drift, every input column and the output of one ROM share one slice
-        Tbar = random_transform(3, 3, seed=13).symmetrized()
-        Tr = truncate_transform(Tbar, 2)
-        assert truncate_transform(Tbar, 2) is Tr
+        Tsym = random_transform(3, 3, seed=13).symmetrized()
+        Tr = _retained_transform(Tsym, 2)
+        assert _retained_transform(Tsym, 2) is Tr
         assert Tr._is_symmetric
-        assert truncate_transform(Tbar, 1) is not Tr
+        npt.assert_array_equal(Tr.terms[2], truncate_transform(Tsym, 2).terms[2])
+
+    def test_rom_sweep_keeps_one_truncation(self):
+        # building ROMs of several orders holds only the latest order's slice,
+        # and the ROM's own T_r is not kept on the transform
+        pl = balance(models.double_pendulum(3), 3)
+        Tsym = pl.Tbar.symmetrized()
+        held = []
+        for r in (1, 2, 3):
+            rom = build_rom(pl, r, 3)
+            held.append(weakref.ref(_retained_transform(Tsym, r)))
+            assert truncate_transform(pl.Tbar, r) is not rom.T_r
+        assert [ref() is None for ref in held] == [True, True, False]
+
+    def test_truncation_freed_with_transform(self):
+        Tsym = random_transform(3, 3, seed=13).symmetrized()
+        ref = weakref.ref(_retained_transform(Tsym, 2))
+        del Tsym
+        assert ref() is None
 
     def test_three_dim_manifold_map(self):
         # truncating the last state leaves the manifold map
