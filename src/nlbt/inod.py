@@ -5,8 +5,9 @@ observability Hessian diag(sigma_i^2)), each transform degree k is found by
 collecting the degree-(k+1) coefficients of two conditions on the composed
 energies.  Their known part is each energy composed with the transform found
 so far, ``Phi = T_1 (z + T_2 + ... + T_{k-1})``, by
-:func:`nlbt.kron.compose_degree`; energy degrees that are not stored count as
-zero.  The controllability energy must stay exactly quadratic, and the
+:func:`nlbt.kron.compose_degree` over the partitions of each degree (the
+energies are symmetric, and the solve below reads only column-group sums);
+energy degrees that are not stored count as zero.  The controllability energy must stay exactly quadratic, and the
 observability energy may carry only pure powers z_i^(k+1) (whose values define
 the singular-value-function coefficients).  The resulting linear system
 decouples monomial by monomial; each monomial gives at most two equations in
@@ -168,8 +169,8 @@ def compute_inod_transform(Ec, Eo, d_transf, gap_tol=1e-10):
 
 
 def _composed_energy(E, Phi, n, q):
-    """Degree-q coefficient vector of ``E(Phi(z))``; zeros if no term contributes."""
-    acc = compose_degree(E, Phi, q)
+    """Degree-q coefficient vector of ``E(Phi(z))`` up to column symmetry; zeros if none."""
+    acc = compose_degree(E, Phi, q, symmetric=True)
     return np.zeros(n ** q) if acc is None else acc.ravel()
 
 

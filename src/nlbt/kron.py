@@ -14,7 +14,13 @@ One operation builds everything the method derives from a transform ``T``:
 the degree-k coefficient ``sum_j M_j Tcal_{j,k}`` of a composition
 ``M(T(z))``, :func:`compose_degree`.  The transformed energies, the balancing
 transformation, its series inverse and the balanced-realization recursions
-all go through it (:func:`compose` applies it degree by degree).
+all go through it (:func:`compose` applies it degree by degree).  It
+contracts one Kronecker product per composition of k into ``j`` factor
+degrees, 2^(k-1) in all.  A map symmetric in its slots (the energies, the
+inod transform, the series inverse, maps built from monomials) needs one
+product per partition of k, p(k) in all, scaled by the partition's number of
+orderings; the result then equals the Kronecker coefficient up to column
+symmetry, which is how every consumer in the package reads it.
 
 One evaluator computes every value: a map is folded, once and lazily, onto
 its unique monomials (the columns of equal multisets summed), so the degree-k
@@ -27,6 +33,7 @@ through it.
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -38,15 +45,10 @@ __all__ = [
     "kron_power",
     "column_multi_indices",
     "multi_index_to_column",
-    "column_to_multi_index",
     "symmetrize_columns",
     "mat_times_kron",
-    "kway_lyap_matrix",
-    "kway_lyap_apply",
     "right_kway_product",
     "compositions",
-    "tensor_sum",
-    "mat_times_tensor_sum",
     "compose_degree",
     "compose",
 ]
@@ -83,15 +85,6 @@ def multi_index_to_column(idx, n):
     for i in idx:
         col = col * n + int(i)
     return col
-
-
-def column_to_multi_index(col, n, k):
-    """Inverse of :func:`multi_index_to_column`."""
-    out = []
-    for _ in range(k):
-        out.append(col % n)
-        col //= n
-    return tuple(reversed(out))
 
 
 @lru_cache(maxsize=64)
@@ -281,45 +274,6 @@ def mat_times_kron(M, factors):
     return out.reshape(r, -1)
 
 
-def kway_lyap_matrix(A, k):
-    """Materialized k-way Lyapunov matrix ``L_k(A) = sum_i I (x)..(x) A (x)..(x) I``.
-
-    Only a test oracle: its ``n^k x n^k`` size rules it out for solves, which
-    go through :func:`nlbt.energy.solve_kway_transposed`.
-    """
-    A = np.asarray(A, dtype=float)
-    p, q = A.shape
-    out = np.zeros((p ** k, p ** (k - 1) * q))
-    eye = np.eye(p)
-    for slot in range(k):
-        term = np.ones((1, 1))
-        for s in range(k):
-            term = np.kron(term, A if s == slot else eye)
-        out += term
-    return out
-
-
-def kway_lyap_apply(A, k, V):
-    """Product ``L_k(A) @ V`` computed slot-by-slot, never forming ``L_k(A)``.
-
-    ``A`` is ``p x q``; ``V`` must have ``p**(k-1) * q`` rows (a vector or a
-    matrix of stacked columns).
-    """
-    A = np.asarray(A, dtype=float)
-    V = np.asarray(V, dtype=float)
-    p, q = A.shape
-    vec = V.ndim == 1
-    Vm = V.reshape(p ** (k - 1) * q, -1)
-    ncols = Vm.shape[1]
-    out = np.zeros((p ** k, ncols))
-    for slot in range(k):
-        # rows of V factor as (p^slot, q, p^(k-1-slot)); contract A over q
-        t = Vm.reshape(p ** slot, q, p ** (k - 1 - slot), ncols)
-        t = np.einsum("aj,ijkc->iakc", A, t)
-        out += t.reshape(p ** k, ncols)
-    return out.ravel() if vec else out
-
-
 def right_kway_product(M, B, k, base):
     """``M @ L_k(B)`` for ``M`` with ``base**k`` columns and ``B`` with ``base`` rows.
 
@@ -357,34 +311,27 @@ def compositions(total, parts):
             yield (first,) + rest
 
 
-def tensor_sum(T, p, q):
-    """Sum of all p-factor Kronecker products of ``T[i]`` with total degree q.
+@lru_cache(maxsize=64)
+def _composition_terms(k, symmetric):
+    """The Kronecker products of degree k of a composition, as ``(degrees, multiplicity)``.
 
-    ``T`` maps degree ``i`` to an ``n x b**i`` coefficient matrix.  Raises
-    ``KeyError`` when a needed degree is missing.
+    ``degrees`` are the factor degrees of one product ``M_j (T_{c_1} (x) ...
+    (x) T_{c_j})`` with ``j = len(degrees)``, in increasing ``j``.  Without
+    ``symmetric`` every composition of k appears once, which gives the exact
+    Kronecker coefficient.  With it, each partition of k appears once, its
+    degrees in non-decreasing order (the cheapest contraction order), with
+    its number of distinct orderings: for an ``M_j`` symmetric in its slots
+    those orderings give column-permuted copies of one product.  That is p(k)
+    products instead of 2^(k-1).
     """
-    out = None
-    for comp in compositions(q, p):
-        term = np.ones((1, 1))
-        for c in comp:
-            term = np.kron(term, T[c])
-        out = term if out is None else out + term
-    return out
-
-
-def mat_times_tensor_sum(M, T, p, q):
-    """``M @ tensor_sum(T, p, q)`` via factor-by-factor contraction.
-
-    Compositions whose degrees are absent from ``T`` are treated as zero,
-    which matches a transform truncated below degree q.
-    """
-    out = None
-    for comp in compositions(q, p):
-        if any(c not in T for c in comp):
-            continue
-        term = mat_times_kron(M, [T[c] for c in comp])
-        out = term if out is None else out + term
-    return out
+    table = []
+    for j in range(1, k + 1):
+        if symmetric:
+            counts = Counter(tuple(sorted(c)) for c in compositions(k, j))
+            table.extend(counts.items())
+        else:
+            table.extend((c, 1) for c in compositions(k, j))
+    return tuple(table)
 
 
 def polymap_from_monomials(n, rows, entries):
@@ -544,19 +491,36 @@ class PolyMap:
         return f"PolyMap(rows={self.rows}, base_dim={self.base_dim}, degrees={degs})"
 
 
-def compose_degree(maps, T, k):
+def compose_degree(maps, T, k, symmetric=False):
     """Degree-k coefficient ``sum_j M_j Tcal_{j,k}`` of the composition ``M(T(z))``.
 
     ``maps`` maps degree ``j`` to ``M_j`` and ``T`` maps degree ``i`` to
     ``T_i``; degree-0 entries of either are never read, and absent degrees
     count as zero.  Returns None when no term contributes.
+
+    ``symmetric`` states that every ``M_j`` is symmetric in its ``j`` slots.
+    Then each partition of k is contracted once, scaled by its number of
+    orderings (see :func:`_composition_terms`), and the result equals the
+    Kronecker coefficient only up to column symmetry: it represents the same
+    polynomial, and its symmetrized columns agree.  Every consumer in the
+    package reads it that way: the balanced-realization recursions,
+    :func:`~nlbt.realization.balanced_output` and the series inverse ``P``
+    symmetrize it, the inod solve sums each column group, and ``Tbar`` is read
+    through ``symmetrized()`` or by evaluation.  Otherwise every composition
+    is contracted and the result is the exact Kronecker coefficient.
     """
     acc = None
-    for j in range(1, k + 1):
-        if j in maps:
-            term = mat_times_tensor_sum(maps[j], T, j, k)
-            if term is not None:
-                acc = term if acc is None else acc + term
+    for degrees, mult in _composition_terms(k, symmetric):
+        M = maps.get(len(degrees))
+        if M is None or any(c not in T for c in degrees):
+            continue
+        term = mat_times_kron(M, [T[c] for c in degrees])
+        if mult > 1:
+            term *= mult
+        if acc is None:
+            acc = term
+        else:
+            acc += term
     return acc
 
 
@@ -564,7 +528,10 @@ def compose(P, T, d_out):
     """Composition ``P(T(z))`` truncated to degree ``d_out``.
 
     ``T`` must have no constant term.  The degree-i coefficient of the result
-    is :func:`compose_degree` ``(P.terms, T.terms, i)``.
+    is :func:`compose_degree` ``(P.terms, T.terms, i, P._is_symmetric)``: for
+    a ``P`` symmetric by construction it holds the composed polynomial up to
+    column symmetry, otherwise its exact Kronecker coefficients.  The result
+    is never marked symmetric.
     """
     if 0 in T.terms and np.any(T.terms[0]):
         raise ValueError("compose requires T without a constant term")
@@ -572,7 +539,7 @@ def compose(P, T, d_out):
         raise ValueError("dimension mismatch: P.base_dim != T.rows")
     out = {}
     for i in range(1, d_out + 1):
-        acc = compose_degree(P.terms, T.terms, i)
+        acc = compose_degree(P.terms, T.terms, i, P._is_symmetric)
         if acc is not None:
             out[i] = acc
     if 0 in P.terms:

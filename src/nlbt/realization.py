@@ -3,6 +3,10 @@
 Every known term is a composition with the symmetrized transform: the drift,
 input and output maps through :func:`nlbt.kron.compose` (once per map, before
 the degree loop), the series inverse through :func:`nlbt.kron.compose_degree`.
+A map symmetric by construction (``P``, maps built from monomials) is
+composed over the partitions of each degree, so its composition holds the
+right coefficients only up to column symmetry; every recursion symmetrizes
+its bracket before the solve, which makes that enough.
 The drift/input recursions isolate each unknown coefficient behind the
 (analytically invertible) linear transform coefficient instead of inverting
 the full nonlinear Jacobian.  The degree-0 input column transforms as
@@ -149,7 +153,7 @@ def inverse_transform_coeffs(Tbar, Tbar1_inv, d):
     Ts = Tbar.symmetrized().terms
     P = {1: np.array(Tbar1_inv, dtype=float)}
     for i in range(2, d + 1):
-        acc = compose_degree(P, Ts, i)
+        acc = compose_degree(P, Ts, i, symmetric=True)
         if acc is None:
             acc = np.zeros((n, n ** i))
         P[i] = symmetrize_columns(-mat_times_kron(acc, [P[1]] * i), n, i)

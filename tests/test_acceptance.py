@@ -12,6 +12,7 @@ import numpy.testing as npt
 import scipy.linalg as la
 
 from conftest import best_state_signs, ray_slope, sigfig_tol
+from kron_oracles import mat_times_tensor_sum
 from nlbt import models
 from nlbt.bench import loglog_slope, run_bench
 from nlbt.energy import (
@@ -22,7 +23,6 @@ from nlbt.energy import (
 from nlbt.kron import (
     ControlAffineSystem,
     PolyMap,
-    mat_times_tensor_sum,
     polymap_from_monomials,
     right_kway_product,
     symmetrize_columns,

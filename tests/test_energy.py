@@ -15,11 +15,10 @@ from nlbt.energy import (
     solve_observability_energy,
 )
 from nlbt.errors import HypothesisViolation, ResonanceError
+from kron_oracles import kway_lyap_apply, kway_lyap_matrix
 from nlbt.kron import (
     ControlAffineSystem,
     PolyMap,
-    kway_lyap_apply,
-    kway_lyap_matrix,
     polymap_from_monomials,
     right_kway_product,
     symmetrize_columns,

@@ -1,26 +1,30 @@
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from kron_oracles import (
+    column_to_multi_index,
+    kway_lyap_apply,
+    kway_lyap_matrix,
+    mat_times_tensor_sum,
+    tensor_sum,
+)
 from nlbt.kron import (
     ControlAffineSystem,
+    _composition_terms,
     PolyMap,
     column_multi_indices,
-    column_to_multi_index,
     compose,
     compose_degree,
     kron_power,
-    kway_lyap_apply,
-    kway_lyap_matrix,
     mat_times_kron,
-    mat_times_tensor_sum,
     multi_index_to_column,
     polymap_from_monomials,
     right_kway_product,
     symmetrize_columns,
-    tensor_sum,
 )
 
 
@@ -440,6 +444,117 @@ class TestCompose:
         for k in (1, 2, 3):
             npt.assert_array_equal(compose_degree(with_constant, T, k), compose_degree(maps, T, k))
         assert compose_degree({0: np.ones((2, 1))}, T, 2) is None
+
+
+# partition counts p(1..10)
+PARTITIONS = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
+
+
+class TestCompositionTerms:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_symmetric_multiplicities_count_compositions(self, k):
+        table = _composition_terms(k, True)
+        assert len(table) == PARTITIONS[k - 1]
+        for j in range(1, k + 1):
+            entries = [(d, mult) for d, mult in table if len(d) == j]
+            assert sum(mult for _, mult in entries) == math.comb(k - 1, j - 1)
+            for degrees, mult in entries:
+                assert sum(degrees) == k and list(degrees) == sorted(degrees)
+                orderings = math.factorial(j)
+                for c in set(degrees):
+                    orderings //= math.factorial(degrees.count(c))
+                assert mult == orderings
+            assert len({d for d, _ in entries}) == len(entries)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_general_table_lists_each_composition_once(self, k):
+        table = _composition_terms(k, False)
+        assert all(mult == 1 for _, mult in table)
+        listed = [d for d, _ in table]
+        # a composition is a set of cut points in 1..k-1
+        every = [
+            tuple(np.diff((0, *cuts, k)))
+            for j in range(1, k + 1)
+            for cuts in itertools.combinations(range(1, k), j - 1)
+        ]
+        assert len(listed) == len(set(listed)) == 2 ** (k - 1)
+        assert set(listed) == set(every)
+
+    def test_degree_two_tables_agree(self):
+        # no partition of 1 or 2 has two orderings, so both tables are one list
+        for k in (1, 2):
+            assert _composition_terms(k, True) == _composition_terms(k, False)
+
+
+def _symmetric_maps(rng, rows, n, degrees):
+    return {j: symmetrize_columns(rng.standard_normal((rows, n ** j)), n, j) for j in degrees}
+
+
+class TestComposeOverPartitions:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_symmetric_map_matches_kronecker_oracle(self, n):
+        # the transform has no degree-3 term, so products that need it drop out
+        rng = np.random.default_rng(30 + n)
+        maps = _symmetric_maps(rng, 2, n, range(1, 9))
+        T = {i: rng.standard_normal((n, n ** i)) / i for i in (1, 2, 4, 5, 6, 7, 8)}
+        for k in range(1, 9):
+            got = compose_degree(maps, T, k, symmetric=True)
+            want = sum(
+                term
+                for j in range(1, k + 1)
+                if (term := mat_times_tensor_sum(maps[j], T, j, k)) is not None
+            )
+            want = symmetrize_columns(want, n, k)
+            scale = np.abs(want).max()
+            npt.assert_allclose(symmetrize_columns(got, n, k), want, rtol=0, atol=1e-13 * scale)
+
+    def test_general_map_keeps_kronecker_coefficients(self):
+        rng = np.random.default_rng(34)
+        maps = {j: rng.standard_normal((2, 2 ** j)) for j in (1, 2, 3)}
+        T = {i: rng.standard_normal((2, 2 ** i)) for i in (1, 2, 3)}
+        for k in range(1, 6):
+            want = sum(
+                term
+                for j in maps
+                if (term := mat_times_tensor_sum(maps[j], T, j, k)) is not None
+            )
+            npt.assert_allclose(compose_degree(maps, T, k), want, rtol=1e-13, atol=1e-14)
+
+    def test_compose_reads_symmetry_flag(self):
+        rng = np.random.default_rng(35)
+        terms = _symmetric_maps(rng, 2, 2, (1, 2, 3))
+        T = PolyMap({i: rng.standard_normal((2, 2 ** i)) for i in (1, 2)}, 2)
+        fast = compose(PolyMap._adopt(terms, 2, 2, symmetric=True), T, 4)
+        exact = compose(PolyMap(terms, 2), T, 4)
+        # same polynomial, different representative from degree 3 on
+        assert not np.allclose(fast.term(3), exact.term(3))
+        for k in (1, 2, 3, 4):
+            npt.assert_allclose(
+                symmetrize_columns(fast.term(k), 2, k),
+                exact.symmetrized().term(k),
+                rtol=1e-13,
+                atol=1e-14,
+            )
+        x = np.array([0.3, -0.2])
+        npt.assert_allclose(fast(x), exact(x), rtol=1e-13)
+
+    def test_symmetric_degree_seven_contracts_each_partition_once(self, monkeypatch):
+        # sum_k p(k) = 44 products for k = 1..7, against 2^7 - 1 = 127 compositions
+        import nlbt.kron as kron
+
+        rng = np.random.default_rng(36)
+        P = PolyMap._adopt(_symmetric_maps(rng, 2, 2, range(1, 8)), 2, 2, symmetric=True)
+        T = PolyMap({i: rng.standard_normal((2, 2 ** i)) for i in range(1, 8)}, 2)
+        calls = []
+        real = kron.mat_times_kron
+
+        def counting(M, factors):
+            calls.append(len(factors))
+            return real(M, factors)
+
+        monkeypatch.setattr(kron, "mat_times_kron", counting)
+        compose(P, T, 7)
+        assert len(calls) == sum(PARTITIONS[:7]) == 44
 
 
 class TestControlAffineSystem:

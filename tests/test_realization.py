@@ -122,7 +122,8 @@ def degreewise_mismatch(m, mbar, Tbar, lo, hi):
     coordinates ``Tbar``.  Returns the largest absolute mismatch and the
     largest coefficient of the two sides.
     """
-    from nlbt.kron import mat_times_tensor_sum, right_kway_product, symmetrize_columns
+    from kron_oracles import mat_times_tensor_sum
+    from nlbt.kron import right_kway_product, symmetrize_columns
 
     n = Tbar.base_dim
     Ts = {k: W for k, W in Tbar.symmetrized().terms.items() if k >= 1}

@@ -102,6 +102,15 @@ class TestSignals:
         u = signal("sinusoid", amp=0.5, freq=1 / np.pi)
         npt.assert_allclose(u(np.pi ** 2 / 2), [0.5 * np.sin(np.pi / 2)], rtol=1e-14)
 
+    def test_sinusoid_matches_broadcast_product(self):
+        # np.full gives exactly the values of the product with np.ones
+        for amp, freq, m in ((0.5, 1 / np.pi, 1), (1.0, 2.5, 3), (-0.3, 7.1, 2)):
+            u = sinusoid(amp, freq, m)
+            for t in np.linspace(0.0, 40.0, 97):
+                got = u(t)
+                assert got.shape == (m,)
+                npt.assert_array_equal(got, amp * np.sin(freq * t) * np.ones(m))
+
     def test_white_noise_deterministic(self):
         u1 = white_noise(2.0, seed=42, hold_dt=0.01)
         u2 = white_noise(2.0, seed=42, hold_dt=0.01)
