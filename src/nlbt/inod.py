@@ -7,11 +7,12 @@ energies.  Their known part is each energy composed with the transform found
 so far, ``Phi = T_1 (z + T_2 + ... + T_{k-1})``, by
 :func:`nlbt.kron.compose_degree` over the partitions of each degree (the
 energies are symmetric, and the solve below reads only column-group sums);
-energy degrees that are not stored count as zero.  The controllability energy must stay exactly quadratic, and the
-observability energy may carry only pure powers z_i^(k+1) (whose values define
-the singular-value-function coefficients).  The resulting linear system
-decouples monomial by monomial; each monomial gives at most two equations in
-one unknown per distinct state, solved in minimum-norm least-squares sense.
+energy degrees that are not stored count as zero.  The controllability energy
+must stay exactly quadratic, and the observability energy may carry only pure
+powers z_i^(k+1) (whose values define the singular-value-function
+coefficients).  The resulting linear system decouples monomial by monomial;
+each monomial gives at most two equations in one unknown per distinct state,
+solved in minimum-norm least-squares sense.
 That gauge choice is one of many valid ones, so tests should assert the
 residual contracts and the sigma^2 series rather than raw coefficients.
 """
