@@ -87,13 +87,19 @@ class InodResult:
         return self.sq_sv.hankel_values()
 
 
+# relative tolerance within which entries of a T_1 column tie for its sign
+_SIGN_TIE_RTOL = 1e-12
+
+
 def linear_balancing(Ec, Eo, gap_tol=1e-10):
     """Linear input-normal/output-diagonal stage via square-root balancing.
 
     Returns ``(T1, T1_inverse, hankel)`` with ``T1^T V2(Ec) T1 = I`` and
     ``T1^T V2(Eo) T1 = diag(hankel**2)``.  The inverse comes from the SVD
-    factors, not a matrix inversion.  Raises :class:`HypothesisViolation` for
-    indefinite Hessians or repeated/zero Hankel singular values.
+    factors, not a matrix inversion.  Each column of ``T1`` is signed so that
+    its first entry within a relative 1e-12 of the column's largest magnitude
+    is positive.  Raises :class:`HypothesisViolation` for indefinite Hessians
+    or repeated/zero Hankel singular values.
     """
     V2 = Ec.hessian
     W2 = Eo.hessian
@@ -119,8 +125,12 @@ def linear_balancing(Ec, Eo, gap_tol=1e-10):
         )
     T1 = Lc @ Vh.T
     T1inv = (U / s).T @ Lo.T
-    # canonical column signs for reproducibility: largest-|entry| positive
-    picks = np.abs(T1).argmax(axis=0)
+    # canonical column signs for reproducibility: the first entry whose
+    # magnitude is within _SIGN_TIE_RTOL of the column's largest is positive,
+    # so entries that tie up to rounding (2d-illustrative's +-0.7071) do not
+    # leave the sign to the rounding of the model's coefficients
+    mags = np.abs(T1)
+    picks = np.argmax(mags >= (1.0 - _SIGN_TIE_RTOL) * mags.max(axis=0), axis=0)
     signs = np.sign(T1[picks, np.arange(T1.shape[1])])
     signs[signs == 0] = 1.0
     T1 *= signs[None, :]

@@ -25,10 +25,11 @@ symmetry, which is how every consumer in the package reads it.
 One evaluator computes every value: a map is folded, once and lazily, onto
 its unique monomials (the columns of equal multisets summed), so the degree-k
 part is ``C_k m_k(x)`` with ``C_k`` of shape ``(rows, C(n+k-1, k))``.  The
-monomials are built degree by degree, ``m_k[j] = x[lead_j] m_{k-1}[parent_j]``,
-and each degree costs one product.  :class:`PolyMap` evaluation (one point or
-many) and its Jacobian, the system right-hand side and the energies all go
-through it.
+monomials of all degrees are one gather from ``[1, x]`` through a fixed index
+table and one product down its columns (:func:`_gather_table`), and a map
+whose degrees fit one zero-padded coefficient matrix is one matrix product
+more.  :class:`PolyMap` evaluation (one point or many) and its Jacobian, the
+system right-hand side and the energies all go through it.
 """
 
 import itertools
@@ -110,18 +111,37 @@ def _monomial_start(n, k):
     return math.comb(n + k - 1, k - 1) if k else 0
 
 
-def _monomial_step(n, k):
-    """``(lead, parent)`` with ``m_k = x[lead] * m[parent]`` over unique monomials.
+@lru_cache(maxsize=64)
+def _factor_positions(n, k):
+    """``(k, monomials)`` positions in ``[1, x]`` of each degree-k monomial's factors.
 
-    ``m`` holds the monomials of all degrees below k, concatenated from
-    degree 0.  Monomial j of degree k has a sorted multi-index; its first
-    index is ``lead_j`` and the remaining ``k - 1`` form the degree-(k-1)
-    monomial at ``m[parent_j]``.
+    Monomial j has the sorted multi-index ``i_1 <= ... <= i_k``; row r holds
+    ``i_(k-r) + 1``, so the last index comes first.  Stored in the smallest
+    unsigned type that holds n (one byte per entry up to n = 255), because
+    the cache keeps it; read-only, because every caller shares it.
     """
     _, _, reps = _symmetry_groups(n, k)
-    inv_prev, _, _ = _symmetry_groups(n, k - 1)
-    lead, rest = np.divmod(reps, n ** (k - 1))
-    return lead, inv_prev[rest] + _monomial_start(n, k - 1)
+    pos = (reps // n ** np.arange(k)[:, None] % n + 1).astype(np.min_scalar_type(n))
+    pos.setflags(write=False)
+    return pos
+
+
+def _gather_table(n, top):
+    """``(top, monomials)`` indices into ``[1, x]`` whose column products are the monomials.
+
+    Column j lists the factors of monomial j (degrees ``0..top`` concatenated
+    from degree 0) by :func:`_factor_positions` and pads with 0, which holds
+    1.0.  A product down the columns multiplies ``x[i_k]``, then
+    ``x[i_(k-1)]``, ..., ``x[i_1]``: the order of
+    ``m_k = x[i_1] m_(k-1)(i_2, ..., i_k)``, so the values are those of that
+    recursion bit for bit.  Not cached: a table lives as long as the fold
+    that holds it (3.6 MB for a degree-3 energy at n = 96).
+    """
+    start = [_monomial_start(n, k) for k in range(top + 2)]
+    table = np.zeros((top, start[-1]), dtype=np.intp)
+    for k in range(1, top + 1):
+        table[:k, start[k] : start[k + 1]] = _factor_positions(n, k)
+    return table
 
 
 @lru_cache(maxsize=16)
@@ -148,6 +168,10 @@ def _fold(W, n, k, symmetric):
     return (_group_sum(n, k) @ W.T).T
 
 
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
+
+
 def _degree_runs(degrees):
     """Split sorted degrees into maximal runs of consecutive ones, as ``(lo, hi)``."""
     runs = []
@@ -162,13 +186,16 @@ def _degree_runs(degrees):
 class _Compact:
     """A polynomial map on unique monomials, ``sum_k C_k m_k(x)``.
 
-    The monomials of degrees ``0..top`` are built into one vector, degree k
-    from ``start[k]``, by :func:`_monomial_step`.  ``products`` holds
-    ``(rows, lo, hi, C)``: ``C`` times the monomials of degrees ``lo..hi``
-    adds to the output rows indexed by ``rows``.  Each product is one run of
-    consecutive degrees shared by the stacked maps it holds, so a map costs
-    one product per run and no coefficient is padded.  Holds no reference to
-    the maps it was folded from.
+    The monomials of degrees ``0..top`` (degree k from ``start[k]``) are one
+    gather and one product: ``[1, x][table].prod(axis=0)``, see
+    :func:`_gather_table`.  ``products`` holds ``(rows, lo, hi, C)``: ``C``
+    times the monomials of degrees ``lo..hi`` adds to the output rows indexed
+    by ``rows``, which increase.  When all rows fit one product over the
+    union of their degrees, zero-padded, with at most twice the coefficients
+    of separate runs, :meth:`fold` stores that product and a call is one
+    matrix product with no scatter.  Otherwise each run of consecutive
+    degrees shared by the stacked maps is one product, and no coefficient is
+    padded.  Holds no reference to the maps it was folded from.
     """
 
     def __init__(self, n, rows, products):
@@ -177,40 +204,58 @@ class _Compact:
         self.products = products
         top = max((hi for _, _, hi, _ in products), default=0)
         self.start = [_monomial_start(n, k) for k in range(top + 2)]
+        self.table = _gather_table(n, top)
         start = self.start
-        self.steps = [(start[k], start[k + 1], *_monomial_step(n, k)) for k in range(2, top + 1)]
         self.spans = [(rows, start[lo], start[hi + 1], C) for rows, lo, hi, C in products]
+        # product rows are increasing, so one product of all rows holds them in order
+        whole = len(products) == 1 and products[0][0].size == rows
+        self.whole = self.spans[0][1:] if whole else None
 
     @classmethod
     def fold(cls, maps):
         """Fold PolyMaps over one base, stacked by rows."""
         n = maps[0].base_dim
         starts = np.cumsum([0] + [pm.rows for pm in maps])
-        groups = {}  # (lo, hi) -> [(map index, its coefficients on that run)]
+        rows = int(starts[-1])
+        blocks = []  # (map index, lo, hi, its coefficients on that run)
         for i, pm in enumerate(maps):
             for lo, hi in _degree_runs(sorted(pm.terms)):
-                C = np.hstack(
-                    [_fold(pm.terms[k], n, k, pm._is_symmetric) for k in range(lo, hi + 1)]
-                )
-                groups.setdefault((lo, hi), []).append((i, C))
+                C = [_fold(pm.terms[k], n, k, pm._is_symmetric) for k in range(lo, hi + 1)]
+                blocks.append((i, lo, hi, np.hstack(C)))
+        if not blocks:
+            return cls(n, rows, [])
+        lo = min(b[1] for b in blocks)
+        hi = max(b[2] for b in blocks)
+        start = [_monomial_start(n, k) for k in range(hi + 2)]
+        if rows * (start[hi + 1] - start[lo]) <= 2 * sum(b[3].size for b in blocks):
+            if len(blocks) == 1:  # one run of one map: nothing to pad, no copy
+                C = blocks[0][3]
+            else:
+                C = np.zeros((rows, start[hi + 1] - start[lo]))
+                for i, a, b, Ci in blocks:
+                    cols = slice(start[a] - start[lo], start[b + 1] - start[lo])
+                    C[starts[i] : starts[i + 1], cols] = Ci
+            return cls(n, rows, [(np.arange(rows), lo, hi, C)])
+        groups = {}  # (lo, hi) -> [(map index, its coefficients on that run)]
+        for i, a, b, Ci in blocks:
+            groups.setdefault((a, b), []).append((i, Ci))
         products = []
-        for (lo, hi), parts in sorted(groups.items()):
+        for (a, b), parts in sorted(groups.items()):
             idx = np.concatenate([np.arange(starts[i], starts[i + 1]) for i, _ in parts])
             C = parts[0][1] if len(parts) == 1 else np.vstack([C for _, C in parts])
-            products.append((idx, lo, hi, C))
-        return cls(n, int(starts[-1]), products)
+            products.append((idx, a, b, C))
+        return cls(n, rows, products)
 
     def __call__(self, x):
         """Values at ``x`` of shape ``(n,)``, or at each column of ``x`` of shape ``(n, N)``."""
-        buf = np.empty((self.start[-1],) + x.shape[1:])
-        buf[0] = 1.0
-        if len(self.start) > 2:
-            buf[1 : self.n + 1] = x
-        for a, b, lead, parent in self.steps:
-            np.multiply(x[lead], buf[parent], out=buf[a:b])
+        one = _ONE if x.ndim == 1 else np.ones((1, x.shape[1]))
+        m = np.multiply.reduce(np.concatenate((one, x))[self.table], axis=0)
+        if self.whole is not None:
+            a, b, C = self.whole
+            return C.dot(m[a:b])  # ndarray.dot: less call overhead than @
         out = np.zeros((self.rows,) + x.shape[1:])
         for rows, a, b, C in self.spans:
-            out[rows] += C.dot(buf[a:b])  # ndarray.dot: less call overhead than @
+            out[rows] += C.dot(m[a:b])
         return out
 
     def derivative(self):
@@ -602,7 +647,8 @@ class ControlAffineSystem:
         return self._stacked(x)[self.n :].reshape(self.m, self.n).T
 
     def rhs(self, x, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        """``f(x) + g(x) u``; a scalar ``u`` is accepted when ``m == 1``."""
+        u = np.asarray(u, dtype=float).reshape(self.m)
         y = self._stacked(x)
         return y[: self.n] + u.dot(y[self.n :].reshape(self.m, self.n))
 

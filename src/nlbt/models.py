@@ -12,6 +12,7 @@ import math
 import numpy as np
 import scipy.linalg as la
 
+from .errors import HypothesisViolation
 from .kron import ControlAffineSystem, PolyMap, polymap_from_monomials
 
 __all__ = [
@@ -455,7 +456,8 @@ def random_stable_poly(n, d, seed, max_tries=50):
     The linear part has spectral abscissa at most -0.5 and the higher-degree
     drift terms are scaled small enough that the origin's basin comfortably
     contains ``|x| <= 0.1``.  Resamples until the linear Hankel singular values
-    are distinct with a relative gap of at least 1e-6.
+    are distinct with a relative gap of at least 1e-6, and raises
+    :class:`~nlbt.errors.HypothesisViolation` after ``max_tries`` draws.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -477,7 +479,7 @@ def random_stable_poly(n, d, seed, max_tries=50):
         if s[-1] > 1e-6 * s[0] and np.min(-np.diff(s)) >= 1e-6 * s[0]:
             break
     else:
-        raise RuntimeError("resampling budget exhausted without distinct singular values")
+        raise HypothesisViolation("resampling budget exhausted without distinct singular values")
     terms = {1: A}
     for k in range(2, d + 1):
         terms[k] = 0.1 * rng.standard_normal((n, n ** k)) / n ** (k - 1)

@@ -92,8 +92,9 @@ def zero_signal(m=1):
 
 
 def sinusoid(amp, freq, m=1):
-    """``amp * sin(freq * t)`` on every channel."""
-    return lambda t: np.full(m, amp * np.sin(freq * t))
+    """``amp * sin(freq * t)`` on every channel, as a fresh array per call."""
+    ones = np.ones(m)
+    return lambda t: amp * np.sin(freq * t) * ones
 
 
 def white_noise(amp, seed, hold_dt=0.01, m=1):

@@ -6,7 +6,7 @@ structured way, so tests can check the fast route against it.
 
 import numpy as np
 
-from nlbt.kron import compositions, mat_times_kron
+from nlbt.kron import _monomial_start, _symmetry_groups, compositions, mat_times_kron
 
 
 def column_to_multi_index(col, n, k):
@@ -86,3 +86,26 @@ def mat_times_tensor_sum(M, T, p, q):
         term = mat_times_kron(M, [T[c] for c in comp])
         out = term if out is None else out + term
     return out
+
+
+def recursive_monomials(x, top):
+    """Unique monomials of degrees ``0..top`` of ``x``, built degree by degree.
+
+    ``x`` is one point of shape ``(n,)`` or points as columns, ``(n, N)``.
+    Monomial j of degree k has the sorted multi-index ``i_1 <= ... <= i_k``
+    and is ``x[i_1]`` times the degree-(k-1) monomial of ``(i_2, ..., i_k)``:
+    one product per degree over the monomials below it.  The gather table of
+    :func:`nlbt.kron._gather_table` must reproduce these values bit for bit.
+    """
+    n = x.shape[0]
+    start = [_monomial_start(n, k) for k in range(top + 2)]
+    buf = np.empty((start[-1],) + x.shape[1:])
+    buf[0] = 1.0
+    if top >= 1:
+        buf[1 : n + 1] = x
+    for k in range(2, top + 1):
+        _, _, reps = _symmetry_groups(n, k)
+        inv_prev, _, _ = _symmetry_groups(n, k - 1)
+        lead, rest = np.divmod(reps, n ** (k - 1))
+        np.multiply(x[lead], buf[inv_prev[rest] + start[k - 1]], out=buf[start[k] : start[k + 1]])
+    return buf

@@ -62,6 +62,27 @@ class TestLinearBalancing:
         npt.assert_allclose(T1.T @ Eo.hessian @ T1, np.diag(s ** 2), atol=1e-9 * s[0] ** 2)
         npt.assert_allclose(T1inv, np.linalg.inv(T1), rtol=1e-9)
 
+    def test_column_signs_survive_one_ulp_perturbations(self):
+        # 2d-illustrative's T_1 has columns whose entries tie at +-0.7071 up
+        # to rounding; perturbing every coefficient by about one ulp must not
+        # flip a balanced state
+        from nlbt.kron import ControlAffineSystem
+
+        base = models.two_dim_illustrative()
+        want = np.sign(linear_balancing(*energies_for(base, 2))[0])
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+
+            def nudge(pm):
+                terms = {
+                    k: W * (1 + 2.2e-16 * rng.standard_normal(W.shape))
+                    for k, W in pm.terms.items()
+                }
+                return PolyMap(terms, pm.base_dim, rows=pm.rows)
+
+            sys = ControlAffineSystem(nudge(base.f), [nudge(g) for g in base.g], nudge(base.h))
+            npt.assert_array_equal(np.sign(linear_balancing(*energies_for(sys, 2))[0]), want)
+
 
 class TestInodTransform:
     def test_linear_system_is_linear(self):

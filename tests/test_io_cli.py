@@ -167,6 +167,16 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "contract_violation"
 
+    def test_bench_resampling_exhausted_exit_code(self, tmp_path, monkeypatch, capsys):
+        def no_budget(n, d, seed):
+            return models.random_stable_poly(n, d, seed, max_tries=0)
+
+        monkeypatch.setattr("nlbt.bench.random_stable_poly", no_budget)
+        assert main(["bench", "--sizes", "4", "--out", str(tmp_path / "b.csv")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "hypothesis_violation"
+        assert "resampling budget exhausted" in err["reason"]
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -10,10 +10,13 @@ from kron_oracles import (
     kway_lyap_apply,
     kway_lyap_matrix,
     mat_times_tensor_sum,
+    recursive_monomials,
     tensor_sum,
 )
 from nlbt.kron import (
     ControlAffineSystem,
+    _Compact,
+    _monomial_start,
     _composition_terms,
     PolyMap,
     column_multi_indices,
@@ -285,6 +288,41 @@ class TestCompactEvaluator:
         kron = sum(W.size for pm in (f, *g) for W in pm.terms.values())
         compact = sum(C.size for _, _, _, C in sys._compact.products)
         assert compact <= kron
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_gather_matches_recursion_bitwise(self, n):
+        # an identity fold returns the monomials themselves: a point, then a
+        # batch of columns
+        rng = np.random.default_rng(20 + n)
+        for top in range(8):
+            size = _monomial_start(n, top + 1)
+            compact = _Compact(n, size, [(np.arange(size), 0, top, np.eye(size))])
+            x = 0.9 * rng.standard_normal(n)
+            npt.assert_array_equal(compact(x), recursive_monomials(x, top))
+            X = 0.9 * rng.standard_normal((n, 6))
+            npt.assert_array_equal(compact(X), recursive_monomials(X, top))
+
+    def test_rom_shape_folds_to_one_product(self):
+        # the shape of a degree-5 ROM with r = 2: f of degrees 1-5 and one
+        # input column of degrees 0-4 share one zero-padded product
+        rng = np.random.default_rng(21)
+        n = 2
+        f = PolyMap(_random_terms(rng, n, n, range(1, 6)), n)
+        g = PolyMap(_random_terms(rng, n, n, range(5)), n)
+        sys = ControlAffineSystem(f, [g], PolyMap({1: np.eye(n)}, n))
+        for _ in range(3):
+            x, u = 0.6 * rng.standard_normal(n), rng.standard_normal(1)
+            want = f(x) + g(x) * u
+            npt.assert_allclose(sys.rhs(x, u), want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+        assert len(sys._compact.products) == 1 and sys._compact.whole is not None
+
+    def test_jacobian_of_one_product_is_one_product(self):
+        rng = np.random.default_rng(22)
+        pm = PolyMap(_random_terms(rng, 2, 2, range(1, 6)), 2)
+        x = 0.5 * rng.standard_normal(2)
+        pm.jacobian(x)
+        assert pm._compact_jac.whole is not None
+        npt.assert_allclose(pm.jacobian(x), naive_jacobian(pm.terms, x, 2), rtol=1e-14, atol=1e-14)
 
 
 class TestKwayLyap:
@@ -594,6 +632,17 @@ class TestControlAffineSystem:
             npt.assert_allclose(sys.rhs(x, u), want, rtol=1e-13, atol=1e-14)
         with pytest.raises(ValueError):
             sys.rhs(np.ones(2), u)
+
+    def test_rhs_input_shape(self):
+        f = PolyMap({1: -np.eye(2)}, 2)
+        g = PolyMap({0: np.array([[1.0], [2.0]])}, 2, rows=2)
+        sys = ControlAffineSystem(f, [g], f)
+        npt.assert_array_equal(sys.rhs(np.zeros(2), 0.5), [0.5, 1.0])
+        npt.assert_array_equal(sys.rhs(np.zeros(2), [0.5]), [0.5, 1.0])
+        with pytest.raises(ValueError):
+            sys.rhs(np.zeros(2), [0.5, 0.5])
+        with pytest.raises(ValueError):
+            ControlAffineSystem(f, [g, g], f).rhs(np.zeros(2), 0.5)
 
     def test_release_fold(self):
         f = PolyMap({1: -np.eye(2)}, 2)

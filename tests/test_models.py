@@ -5,6 +5,7 @@ import scipy.linalg as la
 
 from conftest import ray_slope
 from nlbt import models
+from nlbt.errors import HypothesisViolation
 
 
 class TestTwoDim:
@@ -136,6 +137,10 @@ class TestRandomStable:
     def test_hurwitz(self):
         sys = models.random_stable_poly(6, 2, seed=1)
         assert np.max(la.eigvals(sys.A).real) <= -0.45
+
+    def test_exhausted_budget_is_a_hypothesis_violation(self):
+        with pytest.raises(HypothesisViolation, match="resampling budget exhausted"):
+            models.random_stable_poly(4, 2, seed=0, max_tries=0)
 
     def test_distinct_hankel_values(self):
         sys = models.random_stable_poly(6, 2, seed=2)

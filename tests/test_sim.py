@@ -103,7 +103,7 @@ class TestSignals:
         npt.assert_allclose(u(np.pi ** 2 / 2), [0.5 * np.sin(np.pi / 2)], rtol=1e-14)
 
     def test_sinusoid_matches_broadcast_product(self):
-        # np.full gives exactly the values of the product with np.ones
+        # the same values, bit for bit, as the broadcast product with np.ones
         for amp, freq, m in ((0.5, 1 / np.pi, 1), (1.0, 2.5, 3), (-0.3, 7.1, 2)):
             u = sinusoid(amp, freq, m)
             for t in np.linspace(0.0, 40.0, 97):
