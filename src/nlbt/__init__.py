@@ -25,7 +25,6 @@ from .kron import (
     ControlAffineSystem,
     PolyMap,
     compose,
-    kron_power,
     polymap_from_monomials,
 )
 from .pipeline import BalancedPipeline, balance
@@ -64,7 +63,6 @@ __all__ = [
     "hjb_residual",
     "integrate",
     "inverse_transform_coeffs",
-    "kron_power",
     "l2_error",
     "linear_balancing",
     "load_system",

@@ -2,10 +2,18 @@
 
 Both energies are stored as ``E(x) = 1/2 sum_k v_k . x^(k)`` with symmetric
 degree-k coefficient vectors ``v_k`` in R^(n^k).  The degree-2 terms come from
-the standard Gramian Lyapunov equations.  Each higher degree is one solve
-against the transposed k-way Lyapunov operator ``L_k(A)^T``, whose
-right-hand side collects the lower-degree cross terms.  The contract of record
-is the residual of the PDE, which :func:`hjb_residual` evaluates directly.
+the standard Gramian Lyapunov equations.  Both PDEs have the form
+``dE/dx f + 1/2 |rho(x)|^2 = 0``, with ``rho = h`` for observability and
+``rho = (dE/dx g)^T`` for controllability, so one loop computes every higher
+degree of both (:func:`_energy_series`).  Degree k is one solve against the
+transposed k-way Lyapunov operator ``L_k(A)^T`` (``A + B B^T V_2`` for
+controllability), whose right-hand side is the symmetrized
+``sum_j i (v_i.reshape(-1, n) @ F_j) + sum_s rho_s^T rho_t``, ``i = k - j + 1``
+and ``s + t = k``: the drift term needs one product per degree pair, because
+``v_i`` is symmetric and its last slot stands in for all ``i``, and the
+quadratic term pairs the degree-s parts ``rho_s`` of ``rho``.  The contract of
+record is the residual of the PDE, which :func:`hjb_residual` evaluates
+directly.
 
 All k-way solves go through one Bartels-Stewart solver on the complex Schur
 form ``A^T = Z T Z^H``, with ``T`` upper triangular and ``Z`` unitary.  It is
@@ -27,7 +35,7 @@ import scipy.linalg as la
 from scipy.linalg.lapack import ztrsyl
 
 from .errors import HypothesisViolation, ResonanceError
-from .kron import PolyMap, right_kway_product, symmetrize_columns
+from .kron import PolyMap, symmetrize_columns
 
 __all__ = [
     "EnergyFunction",
@@ -100,12 +108,6 @@ class EnergyFunction:
                 {k: v[None, :] for k, v in self.coeffs.items()}, self.n, 1, symmetric=True
             )
         return self._polymap
-
-    def as_polymap(self):
-        """The energy as a new 1-row PolyMap (coefficients already halved)."""
-        return PolyMap._adopt(
-            {k: 0.5 * v[None, :] for k, v in self.coeffs.items()}, self.n, 1, symmetric=True
-        )
 
     def __repr__(self):
         return f"EnergyFunction(n={self.n}, degree={self.degree})"
@@ -312,16 +314,29 @@ def solve_kway_transposed(A, k, rhs):
     return fac._from_schur(X, k)
 
 
-def _h_cross_terms(h, k):
-    """Degree-k coefficient vector of ``h(x)^T h(x)``."""
-    n = h.base_dim
-    out = np.zeros(n ** k)
-    for a in range(1, k):
-        b = k - a
-        if a in h.terms and b in h.terms:
-            Ha, Hb = h.terms[a], h.terms[b]
-            out += (Ha.T @ Hb).reshape(-1)
-    return out
+def _energy_series(sys, fac, v2, rho, d):
+    """The energy with degree-2 coefficient ``v2`` whose degrees 3..d solve
+    ``dE/dx f + 1/2 |rho|^2 = 0`` (see the module docstring).
+
+    ``fac`` is the Schur factor of the operator that takes the unknown
+    ``v_k``.  ``rho(v, k)`` maps each degree ``s`` to ``rho_s`` of shape
+    ``(q, n^s)``, built from ``v_2, ..., v_(k-1)`` only.
+    """
+    n = sys.n
+    v = {2: v2}
+    for k in range(3, d + 1):
+        b = np.zeros(n ** k)
+        for j in range(2, k):
+            if j in sys.f.terms:
+                i = k - j + 1
+                b += i * (v[i].reshape(-1, n) @ sys.f.terms[j]).ravel()
+        parts = rho(v, k)
+        for s in range(1, k):
+            if s in parts and k - s in parts:
+                b += (parts[s].T @ parts[k - s]).ravel()
+        b = symmetrize_columns(b[None, :], n, k).ravel()
+        v[k] = solve_kway_transposed(fac, k, -b)
+    return EnergyFunction._from_symmetric(n, v)
 
 
 def solve_observability_energy(sys, d):
@@ -329,27 +344,17 @@ def solve_observability_energy(sys, d):
 
     Degree 2 is the observability Gramian Lyapunov equation
     ``A^T W + W A + H_1^T H_1 = 0``; degree k >= 3 is a linear solve against
-    ``L_k(A)^T``, all degrees sharing one Schur form of ``A``.
+    ``L_k(A)^T``, all degrees sharing one Schur form of ``A``.  The quadratic
+    term's parts are the output coefficients, ``rho_s = H_s``.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    n = sys.n
     A = sys.A
     fac = SchurFactor(A)
     _check_hurwitz(fac.eigvals)
     H1 = sys.h.term(1)
     W = la.solve_continuous_lyapunov(A.T, -H1.T @ H1)
-    w = {2: 0.5 * (W + W.T).reshape(-1)}
-    for k in range(3, d + 1):
-        b = np.zeros(n ** k)
-        for j in range(2, k):
-            if j in sys.f.terms:
-                i = k - j + 1
-                b += right_kway_product(w[i][None, :], sys.f.terms[j], i, n).ravel()
-        b += _h_cross_terms(sys.h, k)
-        b = symmetrize_columns(b[None, :], n, k).ravel()
-        w[k] = solve_kway_transposed(fac, k, -b)
-    return EnergyFunction._from_symmetric(n, w)
+    return _energy_series(sys, fac, 0.5 * (W + W.T).reshape(-1), lambda v, k: sys.h.terms, d)
 
 
 def solve_controllability_energy(sys, d):
@@ -359,10 +364,10 @@ def solve_controllability_energy(sys, d):
     the Gramian inverse); each degree k >= 3 solves against
     ``L_k(A + B B^T V_2)^T``, whose operator is nonsingular for a Hurwitz,
     controllable linearization; all degrees share one Schur form.  The
-    quadratic input term ``1/2 |dE/dx g(x)|^2`` is one batched contraction
-    per degree pair over the stacked input coefficients
-    ``G_p = [G_p^(1) ... G_p^(m)]``, for constant and state-dependent ``g``
-    alike.
+    quadratic input term ``1/2 |dE/dx g(x)|^2`` pairs the degree-s parts
+    ``rho_s`` of ``dE/dx g``, each one batched contraction per degree pair
+    over the stacked input coefficients ``G_p = [G_p^(1) ... G_p^(m)]``, for
+    constant and state-dependent ``g`` alike.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -380,34 +385,24 @@ def solve_controllability_energy(sys, d):
         )
     V2 = la.solve(Wc, np.eye(n), assume_a="pos")
     V2 = 0.5 * (V2 + V2.T)
-    v = {2: V2.reshape(-1)}
     fac = SchurFactor(A + B @ B.T @ V2)
     m = sys.m
     G = {p: sys.stacked_g(p) for p in set().union(*(gc.terms for gc in sys.g))}
-    for k in range(3, d + 1):
-        b = np.zeros(n ** k)
-        for j in range(2, k):
-            if j in sys.f.terms:
-                i = k - j + 1
-                b += right_kway_product(v[i][None, :], sys.f.terms[j], i, n).ravel()
-        # quadratic input term: pair up the degree-s parts rho_s of
-        # (dE/dx) g, all m columns at once, excluding the unknown v_k (its
-        # linear appearance is folded into A + B B^T V_2).  v_i is symmetric,
-        # so its first slot stands in for all i.
-        rho = {}
+
+    def rho(v, k):
+        # the degree-s parts of (dE/dx) g, all m columns at once, excluding
+        # the unknown v_k (its linear appearance is folded into A + B B^T V_2);
+        # v_i is symmetric, so its first slot stands in for all i
+        parts = {}
         for s in range(1, k):
             for i in range(2, min(s + 1, k - 1) + 1):
                 p = s - i + 1
                 if p in G:
                     term = 0.5 * i * (G[p].T @ v[i].reshape(n, -1)).reshape(m, -1)
-                    rho[s] = term if s not in rho else rho[s] + term
-        for s in range(1, k):
-            t = k - s
-            if s in rho and t in rho:
-                b += (rho[s].T @ rho[t]).reshape(-1)
-        b = symmetrize_columns(b[None, :], n, k).ravel()
-        v[k] = solve_kway_transposed(fac, k, -b)
-    return EnergyFunction._from_symmetric(n, v)
+                    parts[s] = term if s not in parts else parts[s] + term
+        return parts
+
+    return _energy_series(sys, fac, V2.reshape(-1), rho, d)
 
 
 def hjb_residual(E, sys, x, which):

@@ -25,7 +25,7 @@ import scipy.linalg as la
 
 from .errors import ContractViolation, HypothesisViolation
 from .kron import PolyMap, column_multi_indices, compose_degree
-from .kron import _symmetry_groups
+from .kron import _group_sums, _symmetry_groups
 
 __all__ = [
     "SqSingularValueFns",
@@ -213,7 +213,7 @@ def _degree_structure(n, k):
     base = fact[k] / (prodfact_mu[mus] * w)       # arrangements of mu+{i} minus one i
     nm = counts_q.size
     npairs = np.bincount(mid, minlength=nm)
-    return inv_q, inv_k, Mk, states, mid, w, base, nm, npairs
+    return inv_k, Mk, states, mid, w, base, nm, npairs
 
 
 def _solve_degree(known_a, known_b, sig2, n, k):
@@ -224,9 +224,8 @@ def _solve_degree(known_a, known_b, sig2, n, k):
     monomial contributes the two scalar equations described in the module
     docstring.
     """
-    inv_q, inv_k, Mk, states, mid, w, base, nm, npairs = _degree_structure(n, k)
-    alpha = np.bincount(inv_q, weights=known_a, minlength=nm)
-    beta = np.bincount(inv_q, weights=known_b, minlength=nm)
+    inv_k, Mk, states, mid, w, base, nm, npairs = _degree_structure(n, k)
+    alpha, beta = (_group_sums(c[None, :], n, k + 1)[0] for c in (known_a, known_b))
     s2 = sig2[states]
     S2 = np.bincount(mid, weights=w * w, minlength=nm)
     S2s = np.bincount(mid, weights=w * w * s2, minlength=nm)

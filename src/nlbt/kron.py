@@ -38,12 +38,10 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "PolyMap",
     "ControlAffineSystem",
-    "kron_power",
     "column_multi_indices",
     "multi_index_to_column",
     "symmetrize_columns",
@@ -53,19 +51,6 @@ __all__ = [
     "compose_degree",
     "compose",
 ]
-
-
-def kron_power(x, k):
-    """k-fold Kronecker power of a vector; ``k = 0`` gives the vector ``[1]``.
-
-    Entry ``(i_1, ..., i_k)`` of the result is ``prod_j x[i_j]``, enumerated
-    in canonical column order.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.ones(1)
-    for _ in range(int(k)):
-        out = (out[:, None] * x[None, :]).ravel()
-    return out
 
 
 def column_multi_indices(n, k):
@@ -144,28 +129,33 @@ def _gather_table(n, top):
     return table
 
 
-@lru_cache(maxsize=16)
-def _group_sum(n, k):
-    """Sparse ``(monomials, n**k)`` 0/1 matrix that sums each column group."""
+def _group_sums(W, n, k):
+    """Sum of each column group of the ``(rows, n**k)`` array ``W``: ``(rows, monomials)``.
+
+    One ``np.bincount`` over the ``(row, group)`` id of every entry.  It adds
+    the columns of a group in increasing column order, starting from zero.
+    """
     inv, counts, _ = _symmetry_groups(n, k)
-    cols = inv.size
-    return sparse.csc_array(
-        (np.ones(cols), inv, np.arange(cols + 1)), shape=(counts.size, cols)
-    )
+    rows, groups = W.shape[0], counts.size
+    # one row's ids are the group ids: no offset array, a few us less per
+    # call at small n, where the energies and inod call this once per degree
+    ids = inv if rows == 1 else (np.arange(rows)[:, None] * groups + inv).ravel()
+    sums = np.bincount(ids, weights=W.ravel(), minlength=rows * groups)
+    return sums.reshape(rows, groups)
 
 
 def _fold(W, n, k, symmetric):
     """``W`` on the unique degree-k monomials: shape ``(rows, monomials)``.
 
     A symmetric ``W`` needs one column per group times the group size;
-    otherwise each group is summed.
+    otherwise each group is summed by :func:`_group_sums`.
     """
     if k < 2:
         return W
     if symmetric:
         _, counts, reps = _symmetry_groups(n, k)
         return W[:, reps] * counts
-    return (_group_sum(n, k) @ W.T).T
+    return _group_sums(W, n, k)
 
 
 _ONE = np.ones(1)
@@ -284,14 +274,16 @@ class _Compact:
 
 
 def symmetrize_columns(W, n, k):
-    """Average the columns of ``W`` over all permutations of their multi-indices."""
+    """Average the columns of ``W`` over all permutations of their multi-indices.
+
+    Each column group is summed by :func:`_group_sums`, divided by its size
+    and gathered back to every column of the group.
+    """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if k < 2:
         return W.copy()
     inv, counts, _ = _symmetry_groups(n, k)
-    sums = np.zeros((W.shape[0], counts.size))
-    np.add.at(sums.T, inv, W.T)
-    return (sums / counts)[:, inv]
+    return (_group_sums(W, n, k) / counts)[:, inv]
 
 
 def mat_times_kron(M, factors):

@@ -86,17 +86,23 @@ def eval_forward_balancing_newton(inod, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_
     return inod.transform(z)
 
 
-def balancing_jacobian_newton(inod, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Jacobian of the balancing transformation by the chain rule.
+def _lift(inod, zbar, tol, max_iter):
+    """``x = Phi(phi(zbar))`` and the balancing Jacobian ``dx/dzbar`` there.
 
-    The scaling Jacobian is the inverse of the (diagonal) inverse-scaling
-    Jacobian evaluated at ``z = phi(zbar)``.
+    One scaling solve gives ``z = phi(zbar)``; the scaling Jacobian is the
+    inverse of the (diagonal) inverse-scaling Jacobian at ``z``, so the chain
+    rule divides the columns of ``dPhi/dz`` by that diagonal.
     """
     z = newton_scaling(inod.sq_sv, zbar, tol=tol, max_iter=max_iter)
-    jac_inv_scaling = _inverse_scaling_jacobian_diag(inod.sq_sv, z)
-    if np.any(np.abs(jac_inv_scaling) < 1e-14):
+    diag = _inverse_scaling_jacobian_diag(inod.sq_sv, z)
+    if np.any(np.abs(diag) < 1e-14):
         raise NewtonDivergence("singular scaling Jacobian entry", last_iterate=z)
-    return inod.transform.jacobian(z) / jac_inv_scaling[None, :]
+    return inod.transform(z), inod.transform.jacobian(z) / diag[None, :]
+
+
+def balancing_jacobian_newton(inod, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Jacobian of the balancing transformation by the chain rule."""
+    return _lift(inod, zbar, tol, max_iter)[1]
 
 
 def newton_inverse_balancing(inod, x, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -106,10 +112,10 @@ def newton_inverse_balancing(inod, x, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
     sig = inod.hankel
     zbar = (inod.t1_inverse @ x) * sig ** 0.5
     for _ in range(max_iter):
-        resid = eval_forward_balancing_newton(inod, zbar, tol=tol, max_iter=max_iter) - x
+        x_k, J = _lift(inod, zbar, tol, max_iter)
+        resid = x_k - x
         if np.max(np.abs(resid)) <= tol:
             return zbar
-        J = balancing_jacobian_newton(inod, zbar, tol=tol, max_iter=max_iter)
         zbar = zbar - la.solve(J, resid)
     resid = eval_forward_balancing_newton(inod, zbar, tol=tol, max_iter=max_iter) - x
     if np.max(np.abs(resid)) <= tol:
@@ -128,8 +134,5 @@ def eval_balanced_rhs_newton(sys, inod, zbar, u, tol=DEFAULT_TOL, max_iter=DEFAU
     premultiplies by the inverse balancing Jacobian.  Returns ``(zbar_dot, y)``.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    z = newton_scaling(inod.sq_sv, zbar, tol=tol, max_iter=max_iter)
-    x = inod.transform(z)
-    jac_inv_scaling = _inverse_scaling_jacobian_diag(inod.sq_sv, z)
-    J = inod.transform.jacobian(z) / jac_inv_scaling[None, :]
+    x, J = _lift(inod, zbar, tol, max_iter)
     return la.solve(J, sys.rhs(x, u)), sys.h(x)

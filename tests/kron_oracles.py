@@ -5,8 +5,22 @@ structured way, so tests can check the fast route against it.
 """
 
 import numpy as np
+from scipy import sparse
 
 from nlbt.kron import _monomial_start, _symmetry_groups, compositions, mat_times_kron
+
+
+def kron_power(x, k):
+    """k-fold Kronecker power of a vector; ``k = 0`` gives the vector ``[1]``.
+
+    Entry ``(i_1, ..., i_k)`` of the result is ``prod_j x[i_j]``, enumerated
+    in canonical column order.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.ones(1)
+    for _ in range(int(k)):
+        out = (out[:, None] * x[None, :]).ravel()
+    return out
 
 
 def column_to_multi_index(col, n, k):
@@ -109,3 +123,27 @@ def recursive_monomials(x, top):
         lead, rest = np.divmod(reps, n ** (k - 1))
         np.multiply(x[lead], buf[inv_prev[rest] + start[k - 1]], out=buf[start[k] : start[k + 1]])
     return buf
+
+
+def add_at_symmetrize(W, n, k):
+    """Column symmetrization with the group sums accumulated by ``np.add.at``.
+
+    :func:`nlbt.kron.symmetrize_columns` must reproduce it bit for bit.
+    """
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    inv, counts, _ = _symmetry_groups(n, k)
+    sums = np.zeros((W.shape[0], counts.size))
+    np.add.at(sums.T, inv, W.T)
+    return (sums / counts)[:, inv]
+
+
+def sparse_group_fold(W, n, k):
+    """Group sums of the columns of ``W`` as a sparse 0/1 ``(monomials, n**k)`` product.
+
+    The fold of a map not symmetric in its slots,
+    :func:`nlbt.kron._fold`, must reproduce it bit for bit.
+    """
+    inv, counts, _ = _symmetry_groups(n, k)
+    cols = inv.size
+    S = sparse.csc_array((np.ones(cols), inv, np.arange(cols + 1)), shape=(counts.size, cols))
+    return (S @ W.T).T

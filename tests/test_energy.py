@@ -126,6 +126,36 @@ def mixed_input_system(seed=1, n=3):
     return ControlAffineSystem(f, g, h)
 
 
+def _slotwise_drift_term(v, f, k, n):
+    """Degree-k drift part ``sum_j v_i L_i(F_j)``, ``i = k - j + 1``, over every slot of ``v_i``."""
+    b = np.zeros(n ** k)
+    for j in range(2, k):
+        if j in f.terms:
+            i = k - j + 1
+            b += right_kway_product(v[i][None, :], f.terms[j], i, n).ravel()
+    return b
+
+
+def slotwise_observability_energy(sys, d):
+    """Observability energy with the drift term summed over every slot of ``v_i``.
+
+    The reference for the shared energy series: the output term adds
+    ``H_a^T H_b`` for every pair of degrees ``a + b = k``.
+    """
+    n = sys.n
+    w = {2: solve_observability_energy(sys, 2).coeffs[2]}
+    fac = SchurFactor(sys.A)
+    h = sys.h.terms
+    for k in range(3, d + 1):
+        b = _slotwise_drift_term(w, sys.f, k, n)
+        for a in range(1, k):
+            if a in h and k - a in h:
+                b += (h[a].T @ h[k - a]).reshape(-1)
+        b = symmetrize_columns(b[None, :], n, k).ravel()
+        w[k] = solve_kway_transposed(fac, k, -b)
+    return w
+
+
 def per_column_controllability_energy(sys, d):
     """Controllability energy with the quadratic input term summed column by column.
 
@@ -138,11 +168,7 @@ def per_column_controllability_energy(sys, d):
     v = {2: V2.reshape(-1)}
     fac = SchurFactor(sys.A + sys.B @ sys.B.T @ V2)
     for k in range(3, d + 1):
-        b = np.zeros(n ** k)
-        for j in range(2, k):
-            if j in sys.f.terms:
-                i = k - j + 1
-                b += right_kway_product(v[i][None, :], sys.f.terms[j], i, n).ravel()
+        b = _slotwise_drift_term(v, sys.f, k, n)
         for gc in sys.g:
             rho = {}
             for s in range(1, k):
@@ -160,18 +186,37 @@ def per_column_controllability_energy(sys, d):
     return v
 
 
-class TestStateDependentInputs:
-    D = 5
+class TestEnergySeries:
+    """Both energies come from one series; the slot-by-slot assemblies are its oracles."""
 
-    def test_batched_input_term_matches_per_column_sum(self):
-        sys = mixed_input_system()
-        got = solve_controllability_energy(sys, self.D).coeffs
-        want = per_column_controllability_energy(sys, self.D)
+    @pytest.mark.parametrize(
+        "make, d",
+        [(mixed_input_system, 5), (lambda: models.double_pendulum(5), 6)],
+        ids=["mixed-input", "double-pendulum-5"],
+    )
+    @pytest.mark.parametrize(
+        "solve, oracle",
+        [
+            (solve_controllability_energy, per_column_controllability_energy),
+            (solve_observability_energy, slotwise_observability_energy),
+        ],
+        ids=["controllability", "observability"],
+    )
+    def test_matches_slotwise_oracle(self, solve, oracle, make, d):
+        sys = make()
+        got = solve(sys, d).coeffs
+        want = oracle(sys, d)
         assert set(got) == set(want)
+        npt.assert_array_equal(got[2], want[2])
         for k in want:
             scale = np.abs(want[k]).max()
-            assert scale > 0
-            assert np.abs(got[k] - want[k]).max() <= 1e-12 * scale, k
+            # a degree that vanishes in exact arithmetic must vanish here too
+            tol = 1e-12 * scale if scale > 0 else 1e-14
+            assert np.abs(got[k] - want[k]).max() <= tol, k
+
+
+class TestStateDependentInputs:
+    D = 5
 
     def test_hjb_ray_scaling(self):
         sys = mixed_input_system()

@@ -149,7 +149,7 @@ class TestInodTransform:
         res = compute_inod_transform(Ec, Eo, 3)
         from nlbt.kron import PolyMap, compose
 
-        Eo_pm = Eo.as_polymap()
+        Eo_pm = PolyMap({k: 0.5 * v[None, :] for k, v in Eo.coeffs.items()}, 2)
         comp = compose(Eo_pm, res.transform, 4).symmetrized()
         lead = abs(comp.term(2)).max()
         for k in (3, 4):

@@ -6,23 +6,28 @@ import numpy.testing as npt
 import pytest
 
 from kron_oracles import (
+    add_at_symmetrize,
     column_to_multi_index,
+    kron_power,
     kway_lyap_apply,
     kway_lyap_matrix,
     mat_times_tensor_sum,
     recursive_monomials,
+    sparse_group_fold,
     tensor_sum,
 )
 from nlbt.kron import (
     ControlAffineSystem,
     _Compact,
+    _fold,
+    _group_sums,
     _monomial_start,
     _composition_terms,
+    _symmetry_groups,
     PolyMap,
     column_multi_indices,
     compose,
     compose_degree,
-    kron_power,
     mat_times_kron,
     multi_index_to_column,
     polymap_from_monomials,
@@ -164,6 +169,39 @@ class TestSymmetrize:
             assert ref() is None
         finally:
             gc.enable()
+
+
+_GROUP_SHAPES = [(n, k) for n in (1, 2, 3, 5, 8) for k in (2, 3, 4)]
+
+
+def _wide_range_columns(rows, n, k, seed):
+    """Entries spread over ten decades, so any change of summation order shows."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, n ** k)) * 10.0 ** rng.uniform(-5, 5, (rows, n ** k))
+
+
+class TestGroupSums:
+    """One bincount sums every column group, bit for bit as the routes it replaced."""
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("n, k", _GROUP_SHAPES)
+    def test_symmetrize_matches_add_at(self, n, k, rows):
+        W = _wide_range_columns(rows, n, k, seed=n * 10 + k)
+        npt.assert_array_equal(symmetrize_columns(W, n, k), add_at_symmetrize(W, n, k))
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("n, k", _GROUP_SHAPES)
+    def test_fold_matches_sparse_group_sum(self, n, k, rows):
+        W = _wide_range_columns(rows, n, k, seed=n * 10 + k + 1)
+        npt.assert_array_equal(_fold(W, n, k, symmetric=False), sparse_group_fold(W, n, k))
+
+    @pytest.mark.parametrize("n, k", _GROUP_SHAPES)
+    def test_inod_sums_match_bincount_over_group_ids(self, n, k):
+        # inod's alpha and beta: each composed energy summed per monomial
+        inv, counts, _ = _symmetry_groups(n, k)
+        for c in _wide_range_columns(2, n, k, seed=n * 10 + k + 2):
+            want = np.bincount(inv, weights=c, minlength=counts.size)
+            npt.assert_array_equal(_group_sums(c[None, :], n, k)[0], want)
 
 
 class TestJacobian:

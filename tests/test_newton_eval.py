@@ -158,6 +158,18 @@ class TestBalancedRhs:
         npt.assert_allclose(zdot, 0, atol=1e-12)
         npt.assert_allclose(y, 0, atol=1e-12)
 
+    def test_singular_scaling_jacobian_reported(self, pendulum_pipeline, monkeypatch):
+        # zbar = 0 solves the scaling at the initial guess, so only the lift
+        # reads the patched diagonal
+        import nlbt.newton_eval as ne
+
+        monkeypatch.setattr(
+            ne, "_inverse_scaling_jacobian_diag", lambda sq_sv, z: np.array([1.0, 0.0])
+        )
+        pl = pendulum_pipeline
+        with pytest.raises(NewtonDivergence):
+            eval_balanced_rhs_newton(pl.sys, pl.inod, np.zeros(2), np.zeros(1))
+
     def test_linear_system_exact(self):
         import scipy.linalg as la
         from nlbt.kron import ControlAffineSystem, PolyMap
