@@ -45,7 +45,7 @@ def main():
                             (0.0, 10.0), n_samples=201, rel_tol=1e-6, abs_tol=1e-8)
     dist = []
     for x in noisy.x:
-        zbar = rom_nl.P(x)[:2]
+        zbar = rom_nl.P(x)
         dist.append(np.linalg.norm(rom_nl.lift(zbar) - x))
     spread = np.linalg.norm(noisy.x, axis=1).max()
     print(f"white-noise manifold adherence: max distance {max(dist):.3e} "

@@ -26,7 +26,8 @@ def run_bench(sizes, d_energy=3, repetitions=1, seed=0, budget_bytes=8 << 30, sy
     against the energy degree.  Each repetition runs :func:`~nlbt.pipeline.balance`,
     whose ``stage_s`` gives the ``energy``, ``inod`` and ``balance`` seconds,
     and times :meth:`~nlbt.pipeline.BalancedPipeline.realize` (the full
-    balanced realization) as ``realization``.  Every degree of both energies
+    balanced realization, with all n rows of the series inverse) as
+    ``realization``.  Every degree of both energies
     is one solve of the Schur-form k-way Lyapunov solver, so one algorithm is
     timed across all sizes.  Returns a list of row dicts with per-stage
     seconds (mean over repetitions) plus their variance; ``total`` is the sum

@@ -16,6 +16,7 @@ import numpy as np
 from . import models
 from .bench import loglog_slope, run_bench
 from .errors import ContractViolation, HypothesisViolation, ResonanceError, ResourceRefusal
+from .kron import PolyMap
 from .pipeline import balance
 from .realization import BalancingTransform, ReducedOrderModel, build_rom
 from .serialization import (
@@ -116,12 +117,8 @@ def cmd_reduce(args):
         sys_obj,
         polymap_from_dict(art["Tbar"]),
         _decode_matrix(art["Tbar1_inv"], (n, n)),
-        polymap_from_dict(art["P"]),
         np.array([float(v) for v in art["hankel"]]),
     )
-    if not 1 <= args.r <= n:
-        print(f"error: r={args.r} out of range 1..{n}", file=_sys.stderr)
-        return EXIT_PARSE
     d_rom = args.rom_degree or int(art["d_transf"])
     x0 = _parse_vector(args.x0) if args.x0 else None
     rom = build_rom(balancing, args.r, d_rom, x0=x0)
@@ -147,11 +144,15 @@ def _load_rom(path):
         obj = json.load(fh)
     if obj.get("version") != "nlbt-rom-1":
         raise FormatError("not an nlbt-rom-1 document")
+    r = int(obj["r"])
+    P = polymap_from_dict(obj["inverse_transform"])
+    if P.rows > r:  # documents that stored all n rows of the series inverse
+        P = PolyMap({k: W[:r] for k, W in P.terms.items()}, P.base_dim, rows=r)
     return ReducedOrderModel(
-        int(obj["r"]),
+        r,
         system_from_dict(obj["rom"]),
         polymap_from_dict(obj["transform"]),
-        polymap_from_dict(obj["inverse_transform"]),
+        P,
         np.array([float(v) for v in obj["x_r0"]]),
         np.array([float(v) for v in obj["hankel"]]),
     )

@@ -89,9 +89,11 @@ class InodResult:
 
 # relative tolerance within which entries of a T_1 column tie for its sign
 _SIGN_TIE_RTOL = 1e-12
+# relative to sigma_1: a Hankel value this small is zero, a gap this small a repeat
+_GAP_RTOL = 1e-10
 
 
-def linear_balancing(Ec, Eo, gap_tol=1e-10):
+def linear_balancing(Ec, Eo):
     """Linear input-normal/output-diagonal stage via square-root balancing.
 
     Returns ``(T1, T1_inverse, hankel)`` with ``T1^T V2(Ec) T1 = I`` and
@@ -114,11 +116,11 @@ def linear_balancing(Ec, Eo, gap_tol=1e-10):
             "not minimal"
         ) from exc
     U, s, Vh = la.svd(Lo.T @ Lc)
-    if s[-1] <= gap_tol * s[0]:
+    if s[-1] <= _GAP_RTOL * s[0]:
         raise HypothesisViolation(
             f"Hankel singular value {s[-1]:.3g} is numerically zero"
         )
-    if s.size > 1 and np.min(-np.diff(s)) < gap_tol * s[0]:
+    if s.size > 1 and np.min(-np.diff(s)) < _GAP_RTOL * s[0]:
         raise HypothesisViolation(
             "repeated Hankel singular values: "
             + ", ".join(f"{x:.6g}" for x in s)
@@ -138,7 +140,7 @@ def linear_balancing(Ec, Eo, gap_tol=1e-10):
     return T1, T1inv, s
 
 
-def compute_inod_transform(Ec, Eo, d_transf, gap_tol=1e-10):
+def compute_inod_transform(Ec, Eo, d_transf):
     """Degree-``d_transf`` input-normal/output-diagonal transform.
 
     Needs energies to degree ``d_transf + 1``.  The returned transform
@@ -158,7 +160,7 @@ def compute_inod_transform(Ec, Eo, d_transf, gap_tol=1e-10):
     if Ec.degree < 2 or Eo.degree < 2:
         raise ValueError("energies must reach degree 2")
     # energy degrees above the stored maximum are treated as exactly zero
-    T1, T1inv, hankel = linear_balancing(Ec, Eo, gap_tol=gap_tol)
+    T1, T1inv, hankel = linear_balancing(Ec, Eo)
     sig2 = hankel ** 2
     # each energy as a 1-row map, composed with the transform found so far
     ec_map = {k: v[None, :] for k, v in Ec.coeffs.items()}

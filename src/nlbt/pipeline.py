@@ -1,6 +1,7 @@
 """End-to-end balancing pipeline: energies, transform, scaling, realization."""
 
 import time
+from functools import cached_property
 
 from .energy import solve_controllability_energy, solve_observability_energy
 from .inod import compute_inod_transform
@@ -16,16 +17,22 @@ class BalancedPipeline(BalancingTransform):
     :func:`balance` also sets ``stage_s``, the wall seconds of its three
     stages: ``"energy"`` (both energies), ``"inod"`` (the
     input-normal/output-diagonal transform and its contract check) and
-    ``"balance"`` (scaling, composition and the series inverse ``P``).
+    ``"balance"`` (scaling and composition).  The series inverse ``P`` is
+    derived data, built on first access and timed in no stage.
     """
 
-    def __init__(self, sys, d_transf, Ec, Eo, inod, scaling_map, Tbar, Tbar1_inv, P):
-        super().__init__(sys, Tbar, Tbar1_inv, P, inod.hankel)
+    def __init__(self, sys, d_transf, Ec, Eo, inod, scaling_map, Tbar, Tbar1_inv):
+        super().__init__(sys, Tbar, Tbar1_inv, inod.hankel)
         self.d_transf = d_transf
         self.Ec = Ec
         self.Eo = Eo
         self.inod = inod
         self.scaling_map = scaling_map
+
+    @cached_property
+    def P(self):
+        """Series inverse of ``Tbar`` to degree ``d_transf``: ``P(Tbar(z)) = z + O(|z|^(d+1))``."""
+        return inverse_transform_coeffs(self.Tbar, self.Tbar1_inv, self.d_transf)
 
     @property
     def sq_sv(self):
@@ -49,8 +56,8 @@ def balance(sys, d_transf):
     """Run the balancing pipeline on a control-affine polynomial system.
 
     Computes degree-(d_transf+1) energies, the input-normal/output-diagonal
-    transform, the scaling series, the composed balancing transformation, and
-    its series inverse, and records the stage times as ``stage_s``.  Raises
+    transform, the scaling series and the composed balancing transformation,
+    and records the stage times as ``stage_s``.  Raises
     :class:`~nlbt.errors.HypothesisViolation` when the linearization fails
     the theory's hypotheses.
     """
@@ -68,8 +75,7 @@ def balance(sys, d_transf):
     Tbar = compose_balancing(inod.transform, scaling_map, d_transf)
     # Tbar_1 = T_1 diag(A_1); invert via the known factors
     Tbar1_inv = (1.0 / A_series[:, 1])[:, None] * inod.t1_inverse
-    P = inverse_transform_coeffs(Tbar, Tbar1_inv, d_transf)
     t3 = time.perf_counter()
-    pl = BalancedPipeline(sys, d_transf, Ec, Eo, inod, scaling_map, Tbar, Tbar1_inv, P)
+    pl = BalancedPipeline(sys, d_transf, Ec, Eo, inod, scaling_map, Tbar, Tbar1_inv)
     pl.stage_s = {"energy": t1 - t0, "inod": t2 - t1, "balance": t3 - t2}
     return pl

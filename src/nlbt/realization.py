@@ -26,7 +26,6 @@ retained.  So :func:`build_rom` never forms the full realization, and
 values is the ill-conditioning diagnostic for that computation.
 """
 
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -88,7 +87,7 @@ def _solve_recursion(pm, seed, Tbar, Tbar1_inv, d, r, couple_top):
     n = Tbar.rows
     Tsym = Tbar.symmetrized()
     Ts = Tsym.terms
-    comp = compose(pm, _retained_transform(Tsym, r), d)
+    comp = compose(pm, truncate_transform(Tsym, r), d)
     Xbar = dict(seed)
     for k in range(1, d + 1):
         rhs = comp.term(k)
@@ -137,27 +136,32 @@ def balanced_output(h, Tbar, d, r=None):
     the truncated transform ``Tbar^(r)``.
     """
     r = Tbar.rows if r is None else r
-    comp = compose(h, _retained_transform(Tbar.symmetrized(), r), d)
+    comp = compose(h, truncate_transform(Tbar.symmetrized(), r), d)
     Hbar = {k: symmetrize_columns(W, r, k) for k, W in comp.terms.items() if k >= 1}
     return PolyMap._adopt(Hbar, r, h.rows, symmetric=True)
 
 
-def inverse_transform_coeffs(Tbar, Tbar1_inv, d):
-    """Series inverse ``P`` of the balancing transformation.
+def inverse_transform_coeffs(Tbar, Tbar1_inv, d, r=None):
+    """Series inverse ``P`` of the balancing transformation, or its leading ``r`` rows.
 
     ``P_1 = Tbar_1^{-1}`` (the analytically known square-root-balancing
     inverse) and ``P_i = (-sum_{j<i} P_j Tcal_{j,i}) (P_1 (x) ... (x) P_1)``.
-    Satisfies ``P(Tbar(z)) = z + O(|z|^(d+1))``.
+    Satisfies ``P(Tbar(z)) = z + O(|z|^(d+1))``.  The recursion is
+    row-separable: rows ``:r`` of ``P_i`` need only rows ``:r`` of the lower
+    ``P_j``, with the full ``P_1`` as every Kronecker factor, so ``r``
+    (default ``n``) builds those rows alone.
     """
     n = Tbar.rows
+    r = n if r is None else r
     Ts = Tbar.symmetrized().terms
-    P = {1: np.array(Tbar1_inv, dtype=float)}
+    P1 = np.asarray(Tbar1_inv, dtype=float)
+    P = {1: P1[:r].copy()}
     for i in range(2, d + 1):
         acc = compose_degree(P, Ts, i, symmetric=True)
         if acc is None:
-            acc = np.zeros((n, n ** i))
-        P[i] = symmetrize_columns(-mat_times_kron(acc, [P[1]] * i), n, i)
-    return PolyMap._adopt(P, n, n, symmetric=True)
+            acc = np.zeros((r, n ** i))
+        P[i] = symmetrize_columns(-mat_times_kron(acc, [P1] * i), n, i)
+    return PolyMap._adopt(P, n, r, symmetric=True)
 
 
 @lru_cache(maxsize=64)
@@ -195,41 +199,19 @@ def truncate_transform(Tbar, r):
     return PolyMap._adopt(terms, r, Tbar.rows, symmetric=Tbar._is_symmetric)
 
 
-_retained = weakref.WeakKeyDictionary()  # symmetrized transform -> (r, its truncation)
-
-
-def _retained_transform(Tsym, r):
-    """:func:`truncate_transform` of the symmetrized transform, for the recursions.
-
-    The drift, every input column and the output of one ROM compose with the
-    same truncation, so the most recent one is kept while ``Tsym`` lives: one
-    slice per ROM, and never more than one retained order held.
-    """
-    if r == Tsym.base_dim:
-        # may return Tsym itself, which as a value would keep its own key alive
-        return truncate_transform(Tsym, r)
-    held = _retained.get(Tsym)
-    if held is None or held[0] != r:
-        held = (r, truncate_transform(Tsym, r))
-        _retained[Tsym] = held
-    return held[1]
-
-
 class BalancingTransform:
     """A full-order system with its balancing transformation.
 
     Everything :func:`build_rom` reads: the system ``sys``, the transform
-    ``Tbar``, the inverse ``Tbar1_inv`` of its linear coefficient, the series
-    inverse ``P`` and the Hankel values.  A balancing run,
-    :class:`~nlbt.pipeline.BalancedPipeline`, is one of these; ``nlbt reduce``
-    builds one from a saved artifact.
+    ``Tbar``, the inverse ``Tbar1_inv`` of its linear coefficient and the
+    Hankel values.  A balancing run, :class:`~nlbt.pipeline.BalancedPipeline`,
+    is one of these; ``nlbt reduce`` builds one from a saved artifact.
     """
 
-    def __init__(self, sys, Tbar, Tbar1_inv, P, hankel):
+    def __init__(self, sys, Tbar, Tbar1_inv, hankel):
         self.sys = sys
         self.Tbar = Tbar
         self.Tbar1_inv = np.asarray(Tbar1_inv, dtype=float)
-        self.P = P
         self.hankel = np.asarray(hankel, dtype=float)
 
     @property
@@ -242,8 +224,8 @@ class ReducedOrderModel:
     """Order-r truncation of a balanced realization.
 
     ``sys`` is the reduced control-affine system, ``T_r`` maps reduced states
-    back to the full-order state space, and ``P`` (the full inverse transform)
-    supplies reduced initial conditions.
+    back to the full-order state space, and ``P`` (the leading ``r`` rows of
+    the series inverse) maps full-order states to reduced initial conditions.
     """
 
     def __init__(self, r, sys, T_r, P, x_r0, hankel):
@@ -255,7 +237,7 @@ class ReducedOrderModel:
         self.hankel = np.asarray(hankel, dtype=float)
 
     def initial_condition(self, x0):
-        return self.P(np.asarray(x0, dtype=float))[: self.r]
+        return self.P(np.asarray(x0, dtype=float))
 
     def lift(self, x_r):
         """Approximate full-order state on the reduced manifold."""
@@ -278,7 +260,8 @@ def build_rom(balancing, r, d_rom, x0=None, g_degree=None):
     :class:`~nlbt.pipeline.BalancedPipeline`.  The drift/input/output
     recursions run on retained columns only (see the module docstring) to
     degree ``d_rom``, input map to ``g_degree`` (default ``d_rom - 1``); the
-    ROM keeps the leading ``r`` rows of drift and input.  This is the one
+    ROM keeps the leading ``r`` rows of drift and input, and of the series
+    inverse, which it builds to the degree of ``Tbar``.  This is the one
     realization path: ``r = n`` is the full balanced realization, which
     :meth:`~nlbt.pipeline.BalancedPipeline.realize` returns, and ``r < n``
     equals truncating it.
@@ -295,6 +278,7 @@ def build_rom(balancing, r, d_rom, x0=None, g_degree=None):
     ]
     h_r = balanced_output(sys.h, Tbar, d_rom, r)
     T_r = truncate_transform(Tbar, r)
-    x_r0 = balancing.P(np.asarray(x0, dtype=float))[:r] if x0 is not None else np.zeros(r)
+    P_r = inverse_transform_coeffs(Tbar, Tbar1_inv, Tbar.degree, r)
+    x_r0 = P_r(np.asarray(x0, dtype=float)) if x0 is not None else np.zeros(r)
     rom_sys = ControlAffineSystem(f_r, g_r, h_r)
-    return ReducedOrderModel(r, rom_sys, T_r, balancing.P, x_r0, balancing.hankel)
+    return ReducedOrderModel(r, rom_sys, T_r, P_r, x_r0, balancing.hankel)

@@ -1,6 +1,7 @@
 """Time integration, input signals, trajectory containers, and error metrics."""
 
 import io
+import os
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -53,7 +54,7 @@ class Trajectory:
                 cols.append(f"u{j + 1}")
                 data.append(self.u[:, j])
         close = False
-        if isinstance(path_or_buffer, (str, bytes)):
+        if isinstance(path_or_buffer, (str, bytes, os.PathLike)):
             fh = open(path_or_buffer, "w")
             close = True
         else:
@@ -68,7 +69,7 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path_or_buffer):
-        if isinstance(path_or_buffer, (str, bytes)):
+        if isinstance(path_or_buffer, (str, bytes, os.PathLike)):
             with open(path_or_buffer) as fh:
                 text = fh.read()
         else:

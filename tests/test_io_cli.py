@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from nlbt import models
-from nlbt.cli import main
+from nlbt.cli import _load_rom, main
 from nlbt.errors import ContractViolation
 from nlbt.kron import PolyMap
 from nlbt.pipeline import balance
@@ -135,11 +135,32 @@ class TestCli:
                      "--out", str(tmp_path / "r.json")]) == 3
         assert "(1, 1)" in capsys.readouterr().err
 
-    def test_reduce_r_out_of_range(self, tmp_path):
+    def test_reduce_r_out_of_range(self, tmp_path, capsys):
         art_path = tmp_path / "art.json"
         main(["balance", "--model", "pendulum:3", "--degree", "2", "--out", str(art_path)])
         assert main(["reduce", "--artifact", str(art_path), "-r", "5",
                      "--out", str(tmp_path / "r.json")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse_error", "reason": "r must be in 1..2"}
+
+    def test_rom_document_keeps_r_inverse_rows(self, tmp_path):
+        # the ROM stores the r retained rows of P; a document that stores all
+        # n rows loads to the same r rows
+        art_path = tmp_path / "art.json"
+        rom_path = tmp_path / "rom.json"
+        main(["balance", "--model", "double-pendulum:3", "--degree", "3", "--out", str(art_path)])
+        assert main(["reduce", "--artifact", str(art_path), "-r", "2", "--x0", "0.1,0,0,0.1",
+                     "--out", str(rom_path)]) == 0
+        doc = json.loads(rom_path.read_text())
+        assert doc["inverse_transform"]["rows"] == 2
+        rows = _load_rom(str(rom_path)).P
+        doc["inverse_transform"] = polymap_to_dict(balance(models.double_pendulum(3), 3).P)
+        assert doc["inverse_transform"]["rows"] == 4
+        rom_path.write_text(json.dumps(doc))
+        P = _load_rom(str(rom_path)).P
+        assert P.rows == 2 and set(P.terms) == set(rows.terms)
+        for k, W in rows.terms.items():
+            assert np.array_equal(P.terms[k], W), k
 
     def test_hypothesis_violation_exit_code(self, tmp_path):
         # identical Gramians -> repeated Hankel singular values

@@ -13,7 +13,6 @@ from nlbt.pipeline import balance
 from nlbt.realization import (
     BalancingTransform,
     _coupling,
-    _retained_transform,
     balanced_drift,
     balanced_input,
     balanced_output,
@@ -174,6 +173,30 @@ class TestInverseTransform:
         assert ray_slope(resid, 3, seed=10) >= d + 0.5
 
 
+class TestSeriesInverseOnDemand:
+    def test_built_on_first_access_only(self, monkeypatch):
+        import nlbt.pipeline
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return inverse_transform_coeffs(*args)
+
+        monkeypatch.setattr(nlbt.pipeline, "inverse_transform_coeffs", counting)
+        sys = models.double_pendulum(3)
+        pl = balance(sys, 3)
+        rom = pl.reduce(2, x0=np.full(sys.n, 0.02))
+        assert not calls and rom.P.rows == 2
+        P = pl.P
+        assert pl.P is P and len(calls) == 1
+
+    def test_degree_is_the_transform_degree(self, zoo_pipelines):
+        # build_rom builds the ROM's rows to Tbar.degree
+        for pl in [*zoo_pipelines.values(), balance(models.double_pendulum(5), 1)]:
+            assert pl.Tbar.degree == pl.P.degree == pl.d_transf
+
+
 class TestTruncation:
     def test_full_order_is_identity(self):
         Tbar = random_transform(3, 3, seed=11)
@@ -193,31 +216,22 @@ class TestTruncation:
         xr = np.array([0.3, -0.7])
         npt.assert_allclose(Tr(xr), Tbar(np.array([0.3, -0.7, 0.0])), rtol=1e-12)
 
-    def test_recursions_share_one_truncation(self):
-        # the drift, every input column and the output of one ROM share one slice
-        Tsym = random_transform(3, 3, seed=13).symmetrized()
-        Tr = _retained_transform(Tsym, 2)
-        assert _retained_transform(Tsym, 2) is Tr
-        assert Tr._is_symmetric
-        npt.assert_array_equal(Tr.terms[2], truncate_transform(Tsym, 2).terms[2])
+    def test_no_truncation_outlives_build_rom(self, monkeypatch):
+        # the recursions slice the transform per call, and only the ROM's own
+        # T_r is kept
+        made = []
 
-    def test_rom_sweep_keeps_one_truncation(self):
-        # building ROMs of several orders holds only the latest order's slice,
-        # and the ROM's own T_r is not kept on the transform
+        def recording(Tbar, r):
+            Tr = truncate_transform(Tbar, r)
+            made.append(weakref.ref(Tr))
+            return Tr
+
+        monkeypatch.setattr("nlbt.realization.truncate_transform", recording)
         pl = balance(models.double_pendulum(3), 3)
-        Tsym = pl.Tbar.symmetrized()
-        held = []
-        for r in (1, 2, 3):
-            rom = build_rom(pl, r, 3)
-            held.append(weakref.ref(_retained_transform(Tsym, r)))
-            assert truncate_transform(pl.Tbar, r) is not rom.T_r
-        assert [ref() is None for ref in held] == [True, True, False]
-
-    def test_truncation_freed_with_transform(self):
-        Tsym = random_transform(3, 3, seed=13).symmetrized()
-        ref = weakref.ref(_retained_transform(Tsym, 2))
-        del Tsym
-        assert ref() is None
+        rom = build_rom(pl, 2, 3)
+        alive = [ref() for ref in made if ref() is not None]
+        assert len(made) == pl.sys.m + 3  # drift, input columns, output, T_r
+        assert [Tr is rom.T_r for Tr in alive] == [True]
 
     def test_three_dim_manifold_map(self):
         # truncating the last state leaves the manifold map
@@ -261,7 +275,29 @@ def assert_rom_is_truncated_realization(pl, r, d_rom=None, g_degree=None):
     for got, want in zip(rom.sys.g, full.g):
         assert_truncation_of(got, want, r, r)
     assert_truncation_of(rom.sys.h, full.h, r, full.p)
-    assert np.array_equal(rom.x_r0, pl.P(x0)[:r])
+    assert_rom_inverse_rows(pl, rom, x0)
+
+
+def assert_rom_inverse_rows(pl, rom, x0):
+    """``rom.P`` is the leading r rows of ``pl.P``, and ``x_r0`` is its value at ``x0``.
+
+    The rows are bit-identical for r >= 2.  At r = 1 BLAS takes a one-row
+    path, so they lie within 2 ulp of the row's largest coefficient.  The
+    evaluator sums a map of r rows in its own order, so ``x_r0`` lies within
+    4 ulp (of its largest entry) of ``pl.P(x0)[:r]``.
+    """
+    r = rom.r
+    assert rom.P.rows == r and rom.P.base_dim == pl.sys.n
+    assert set(rom.P.terms) == set(pl.P.terms)
+    scale = np.max([np.abs(W[:r]).max(axis=1) for W in pl.P.terms.values()], axis=0)
+    for k, W in pl.P.terms.items():
+        if r >= 2:
+            assert np.array_equal(rom.P.terms[k], W[:r]), k
+        else:
+            assert np.all(np.abs(rom.P.terms[k] - W[:r]) <= 2 * np.spacing(scale)[:, None]), k
+    assert np.array_equal(rom.x_r0, rom.P(x0))
+    want = pl.P(x0)[:r]
+    assert np.abs(rom.x_r0 - want).max() <= 4 * np.spacing(np.abs(want).max())
 
 
 ZOO_CASES = [
@@ -351,7 +387,7 @@ class TestBuildRom:
         pl = balance(models.pendulum(3), 3)
         bal = pl.realize()
         x0 = np.array([0.05, -0.02])
-        transform = BalancingTransform(pl.sys, pl.Tbar, pl.Tbar1_inv, pl.P, pl.hankel)
+        transform = BalancingTransform(pl.sys, pl.Tbar, pl.Tbar1_inv, pl.hankel)
         rom = build_rom(transform, 2, 3, x0=x0)
         for k in (1, 2, 3):
             npt.assert_allclose(rom.sys.f.term(k), bal.sys.f.term(k), atol=1e-13)

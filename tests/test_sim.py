@@ -152,7 +152,7 @@ class TestL2Error:
 
 
 class TestTrajectoryCsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         t = np.linspace(0, 1, 7)
         x = np.random.default_rng(0).standard_normal((7, 2))
         y = x[:, :1] * 0.5
@@ -161,11 +161,14 @@ class TestTrajectoryCsv:
         buf = io.StringIO()
         traj.to_csv(buf)
         buf.seek(0)
-        back = Trajectory.from_csv(buf)
-        npt.assert_array_equal(back.t, traj.t)
-        npt.assert_array_equal(back.x, traj.x)
-        npt.assert_array_equal(back.y, traj.y)
-        npt.assert_array_equal(back.u, traj.u)
+        path = tmp_path / "t.csv"
+        traj.to_csv(path)
+        for src in (buf, path, str(path)):
+            back = Trajectory.from_csv(src)
+            npt.assert_array_equal(back.t, traj.t)
+            npt.assert_array_equal(back.x, traj.x)
+            npt.assert_array_equal(back.y, traj.y)
+            npt.assert_array_equal(back.u, traj.u)
 
     def test_header_names(self):
         traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)), y=np.zeros((2, 1)),
