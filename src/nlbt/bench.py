@@ -31,10 +31,12 @@ def run_bench(sizes, d_energy=3, repetitions=1, seed=0, budget_bytes=8 << 30, sy
     is one solve of the Schur-form k-way Lyapunov solver, so one algorithm is
     timed across all sizes.  Returns a list of row dicts with per-stage
     seconds (mean over repetitions) plus their variance; ``total`` is the sum
-    of the four stage means.
+    of the four stage means.  Raises ``ValueError`` for ``repetitions < 1``.
     """
     if d_energy < 2:
         raise ValueError("energy degree must be at least 2")
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
     d_transf = max(d_energy - 1, 1)
     rows = []
     for n in sizes:

@@ -60,8 +60,6 @@ def _parse_signal(spec, m):
         for item in rest.split(","):
             key, _, val = item.partition("=")
             params[key] = float(val) if key != "seed" else int(val)
-    if "seed" in params:
-        params["seed"] = int(params["seed"])
     return signal(kind, m=m, **params)
 
 
@@ -88,7 +86,6 @@ def cmd_balance(args):
         },
         "Tbar": polymap_to_dict(pl.Tbar),
         "Tbar1_inv": _encode_matrix(pl.Tbar1_inv),
-        "P": polymap_to_dict(pl.P),
     }
     with open(args.out, "w") as fh:
         json.dump(artifact, fh, indent=1)

@@ -7,7 +7,7 @@ the standard Gramian Lyapunov equations.  Both PDEs have the form
 ``rho = (dE/dx g)^T`` for controllability, so one loop computes every higher
 degree of both (:func:`_energy_series`).  Degree k is one solve against the
 transposed k-way Lyapunov operator ``L_k(A)^T`` (``A + B B^T V_2`` for
-controllability), whose right-hand side is the symmetrized
+controllability), whose right-hand side is the symmetric part of
 ``sum_j i (v_i.reshape(-1, n) @ F_j) + sum_s rho_s^T rho_t``, ``i = k - j + 1``
 and ``s + t = k``: the drift term needs one product per degree pair, because
 ``v_i`` is symmetric and its last slot stands in for all ``i``, and the
@@ -51,63 +51,49 @@ class EnergyFunction:
     """Scalar polynomial ``E(x) = 1/2 sum_k v_k . x^(k)`` with ``E(0) = 0``.
 
     Coefficients start at degree 2; ``v_2`` reshaped to ``n x n`` is the
-    Hessian at the origin.  The constructor symmetrizes the coefficients.
+    Hessian at the origin.  They are stored as the 1-row map ``2 E``, through
+    which every evaluation goes, so the constructor makes them symmetric as
+    :class:`~nlbt.kron.PolyMap` does; ``coeffs`` views that map's rows.
     """
 
     def __init__(self, n, coeffs):
-        self._set(n, coeffs, symmetrize=True)
+        # PolyMap copies, checks each length and makes each degree symmetric
+        self._doubled = PolyMap({k: np.reshape(v, (1, -1)) for k, v in coeffs.items()}, n, 1)
 
     @classmethod
-    def _from_symmetric(cls, n, coeffs):
-        """Wrap coefficient vectors that are already symmetric (solver output)."""
+    def _adopt(cls, n, coeffs):
+        """Wrap fresh coefficient vectors, symmetric by construction, without copying."""
         self = cls.__new__(cls)
-        self._set(n, coeffs, symmetrize=False)
+        self._doubled = PolyMap._adopt({k: v[None, :] for k, v in coeffs.items()}, n, 1)
         return self
 
-    def _set(self, n, coeffs, symmetrize):
-        self.n = int(n)
-        self.coeffs = {}
-        for k, v in coeffs.items():
-            v = np.asarray(v, dtype=float).ravel()
-            if v.size != self.n ** int(k):
-                raise ValueError(f"degree-{k} coefficient has wrong length")
-            if symmetrize:
-                v = symmetrize_columns(v[None, :], self.n, int(k)).ravel()
-            self.coeffs[int(k)] = v
-        for v in self.coeffs.values():
-            v.setflags(write=False)
-        self._polymap = None  # 2 E, see _doubled
+    @property
+    def n(self):
+        return self._doubled.base_dim
+
+    @property
+    def coeffs(self):
+        """``{k: v_k}``, read-only."""
+        return {k: W[0] for k, W in self._doubled.terms.items()}
 
     @property
     def degree(self):
-        return max(self.coeffs, default=0)
+        return self._doubled.degree
 
     @property
     def hessian(self):
-        return self.coeffs[2].reshape(self.n, self.n)
+        return self._doubled.terms[2].reshape(self.n, self.n)
 
     def value(self, x):
         """``E(x)`` at a point, or at each row of a 2-D ``x``."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
-            return 0.5 * self._doubled().evaluate(x)[:, 0]
-        return 0.5 * self._doubled()(x)[0]
+            return 0.5 * self._doubled.evaluate(x)[:, 0]
+        return 0.5 * self._doubled(x)[0]
 
     def gradient(self, x):
         """Row gradient ``dE/dx`` at ``x``."""
-        return 0.5 * self._doubled().jacobian(x).ravel()
-
-    def _doubled(self):
-        """``2 E`` as a 1-row PolyMap on the coefficient vectors themselves; cached.
-
-        Evaluation goes through it: halved coefficients would be a second
-        ``n^k``-sized copy of every degree for as long as the energy lives.
-        """
-        if self._polymap is None:
-            self._polymap = PolyMap._adopt(
-                {k: v[None, :] for k, v in self.coeffs.items()}, self.n, 1, symmetric=True
-            )
-        return self._polymap
+        return 0.5 * self._doubled.jacobian(x).ravel()
 
     def __repr__(self):
         return f"EnergyFunction(n={self.n}, degree={self.degree})"
@@ -336,7 +322,7 @@ def _energy_series(sys, fac, v2, rho, d):
                 b += (parts[s].T @ parts[k - s]).ravel()
         b = symmetrize_columns(b[None, :], n, k).ravel()
         v[k] = solve_kway_transposed(fac, k, -b)
-    return EnergyFunction._from_symmetric(n, v)
+    return EnergyFunction._adopt(n, v)
 
 
 def solve_observability_energy(sys, d):

@@ -175,7 +175,7 @@ def compute_inod_transform(Ec, Eo, d_transf):
         Tk, c_k = _solve_degree(known_a, known_b, sig2, n, k)
         Phi[k] = T1 @ Tk
         c[:, k - 1] = c_k
-    transform = PolyMap._adopt(Phi, n, n, symmetric=True)
+    transform = PolyMap._adopt(Phi, n, n)
     result = InodResult(transform, T1inv, SqSingularValueFns(c))
     _check_contracts(result, Ec, Eo, d_transf)
     return result
@@ -183,7 +183,7 @@ def compute_inod_transform(Ec, Eo, d_transf):
 
 def _composed_energy(E, Phi, n, q):
     """Degree-q coefficient vector of ``E(Phi(z))`` up to column symmetry; zeros if none."""
-    acc = compose_degree(E, Phi, q, symmetric=True)
+    acc = compose_degree(E, Phi, q)
     return np.zeros(n ** q) if acc is None else acc.ravel()
 
 

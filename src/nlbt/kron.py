@@ -10,17 +10,21 @@ the multi-index ``(i_1, ..., i_k)`` with ``1 <= i_j <= base_dim`` is
 so the leftmost factor is the most significant digit.  This ordering is the
 exchange-format contract used by the ``kps-1`` serializer.
 
+Every coefficient is stored as its symmetric representative: the degree-k
+coefficient of a polynomial is fixed only up to permutations of its k
+Kronecker slots, and :class:`PolyMap` keeps the one whose columns of equal
+multisets hold equal values (:func:`symmetrize_columns`).  Every consumer in
+the package reads it that way.
+
 One operation builds everything the method derives from a transform ``T``:
 the degree-k coefficient ``sum_j M_j Tcal_{j,k}`` of a composition
 ``M(T(z))``, :func:`compose_degree`.  The transformed energies, the balancing
 transformation, its series inverse and the balanced-realization recursions
-all go through it (:func:`compose` applies it degree by degree).  It
-contracts one Kronecker product per composition of k into ``j`` factor
-degrees, 2^(k-1) in all.  A map symmetric in its slots (the energies, the
-inod transform, the series inverse, maps built from monomials) needs one
-product per partition of k, p(k) in all, scaled by the partition's number of
-orderings; the result then equals the Kronecker coefficient up to column
-symmetry, which is how every consumer in the package reads it.
+all go through it (:func:`compose` applies it degree by degree).  Because
+every ``M_j`` is symmetric in its slots, it contracts one Kronecker product
+per partition of k, p(k) in all, scaled by the partition's number of
+orderings, instead of one per composition, 2^(k-1) in all; the result equals
+the Kronecker coefficient up to column symmetry.
 
 One evaluator computes every value: a map is folded, once and lazily, onto
 its unique monomials (the columns of equal multisets summed), so the degree-k
@@ -144,18 +148,15 @@ def _group_sums(W, n, k):
     return sums.reshape(rows, groups)
 
 
-def _fold(W, n, k, symmetric):
-    """``W`` on the unique degree-k monomials: shape ``(rows, monomials)``.
+def _fold(W, n, k):
+    """The symmetric ``W`` on the unique degree-k monomials: shape ``(rows, monomials)``.
 
-    A symmetric ``W`` needs one column per group times the group size;
-    otherwise each group is summed by :func:`_group_sums`.
+    One column per group, the representative, times the group size.
     """
     if k < 2:
         return W
-    if symmetric:
-        _, counts, reps = _symmetry_groups(n, k)
-        return W[:, reps] * counts
-    return _group_sums(W, n, k)
+    _, counts, reps = _symmetry_groups(n, k)
+    return W[:, reps] * counts
 
 
 _ONE = np.ones(1)
@@ -210,7 +211,7 @@ class _Compact:
         blocks = []  # (map index, lo, hi, its coefficients on that run)
         for i, pm in enumerate(maps):
             for lo, hi in _degree_runs(sorted(pm.terms)):
-                C = [_fold(pm.terms[k], n, k, pm._is_symmetric) for k in range(lo, hi + 1)]
+                C = [_fold(pm.terms[k], n, k) for k in range(lo, hi + 1)]
                 blocks.append((i, lo, hi, np.hstack(C)))
         if not blocks:
             return cls(n, rows, [])
@@ -286,6 +287,24 @@ def symmetrize_columns(W, n, k):
     return (_group_sums(W, n, k) / counts)[:, inv]
 
 
+def _canonical(W, n, k):
+    """The fresh ``(rows, n**k)`` array ``W`` made its symmetric representative, in place.
+
+    ``W`` is kept bit for bit when every column already equals its group's
+    representative, which holds for every map the package writes; otherwise
+    it is overwritten with the values of :func:`symmetrize_columns`.  One row
+    at a time, so no temporary is larger than a row.
+    """
+    if k < 2:
+        return W
+    inv, counts, reps = _symmetry_groups(n, k)
+    if all(np.array_equal(w[reps][inv], w) for w in W):
+        return W
+    for w in W:
+        w[:] = (_group_sums(w[None, :], n, k)[0] / counts)[inv]
+    return W
+
+
 def mat_times_kron(M, factors):
     """``M @ (B_1 (x) B_2 (x) ... (x) B_j)`` without forming the Kronecker product.
 
@@ -315,8 +334,7 @@ def right_kway_product(M, B, k, base):
     """``M @ L_k(B)`` for ``M`` with ``base**k`` columns and ``B`` with ``base`` rows.
 
     Returns an array with ``base**(k-1) * B.shape[1]`` columns.  Used by the
-    balanced-realization recursions, where ``M`` holds (symmetrized) transform
-    coefficients.
+    balanced-realization recursions, where ``M`` holds transform coefficients.
     """
     M = np.atleast_2d(M)
     B = np.atleast_2d(B)
@@ -349,25 +367,20 @@ def compositions(total, parts):
 
 
 @lru_cache(maxsize=64)
-def _composition_terms(k, symmetric):
+def _composition_terms(k):
     """The Kronecker products of degree k of a composition, as ``(degrees, multiplicity)``.
 
     ``degrees`` are the factor degrees of one product ``M_j (T_{c_1} (x) ...
-    (x) T_{c_j})`` with ``j = len(degrees)``, in increasing ``j``.  Without
-    ``symmetric`` every composition of k appears once, which gives the exact
-    Kronecker coefficient.  With it, each partition of k appears once, its
-    degrees in non-decreasing order (the cheapest contraction order), with
-    its number of distinct orderings: for an ``M_j`` symmetric in its slots
-    those orderings give column-permuted copies of one product.  That is p(k)
-    products instead of 2^(k-1).
+    (x) T_{c_j})`` with ``j = len(degrees)``, in increasing ``j``.  Each
+    partition of k appears once, its degrees in non-decreasing order (the
+    cheapest contraction order), with its number of distinct orderings: for
+    an ``M_j`` symmetric in its slots those orderings give column-permuted
+    copies of one product.  That is p(k) products instead of 2^(k-1).
     """
     table = []
     for j in range(1, k + 1):
-        if symmetric:
-            counts = Counter(tuple(sorted(c)) for c in compositions(k, j))
-            table.extend(counts.items())
-        else:
-            table.extend((c, 1) for c in compositions(k, j))
+        counts = Counter(tuple(sorted(c)) for c in compositions(k, j))
+        table.extend(counts.items())
     return tuple(table)
 
 
@@ -392,7 +405,7 @@ def polymap_from_monomials(n, rows, entries):
         perms = set(itertools.permutations(letters))
         for perm in perms:
             W[row, multi_index_to_column(perm, n)] += coeff / len(perms)
-    return PolyMap._adopt(by_degree, n, rows, symmetric=True)
+    return PolyMap._adopt(by_degree, n, rows)
 
 
 def _point(x, n):
@@ -415,8 +428,11 @@ class PolyMap:
     rows : int, optional
         Number of output rows; inferred from the terms when omitted.
 
-    The coefficients are copied and read-only.  Evaluation goes through the
-    unique-monomial form (see the module docstring), folded on first use.
+    The coefficients are copied, made symmetric in their Kronecker slots
+    (see the module docstring) and read-only: a block whose columns already
+    equal their groups' representatives is kept bit for bit, any other
+    becomes :func:`symmetrize_columns` of it.  Evaluation goes through the
+    unique-monomial form, folded on first use.
     """
 
     def __init__(self, terms, base_dim, rows=None):
@@ -437,29 +453,27 @@ class PolyMap:
                 rows = W.shape[0]
             elif W.shape[0] != rows:
                 raise ValueError("inconsistent row counts across terms")
-            clean[k] = W
+            clean[k] = _canonical(W, base_dim, k)
         if rows is None:
             raise ValueError("rows must be given for an empty PolyMap")
-        self._set(clean, base_dim, rows, symmetric=False)
+        self._set(clean, base_dim, rows)
 
     @classmethod
-    def _adopt(cls, terms, base_dim, rows, symmetric=False):
+    def _adopt(cls, terms, base_dim, rows):
         """Wrap fresh, well-shaped coefficient arrays without copying (internal results).
 
-        ``symmetric`` marks coefficients that are symmetric by construction.
+        The arrays must be symmetric in their slots by construction.
         """
         self = cls.__new__(cls)
-        self._set(terms, base_dim, rows, symmetric)
+        self._set(terms, base_dim, rows)
         return self
 
-    def _set(self, terms, base_dim, rows, symmetric):
+    def _set(self, terms, base_dim, rows):
         self.base_dim = int(base_dim)
         self.rows = int(rows)
         self.terms = dict(sorted(terms.items()))
         for W in self.terms.values():
             W.setflags(write=False)
-        self._symmetric = None  # cached symmetrized copy
-        self._is_symmetric = symmetric  # a flag, not self in _symmetric: no reference cycle
         self._compact = None  # unique-monomial form, and that of the Jacobian
         self._compact_jac = None
 
@@ -494,19 +508,6 @@ class PolyMap:
         compact = self._compact if self._compact is not None else _Compact.fold([self])
         return compact(X.T).T
 
-    def symmetrized(self):
-        """Copy with all coefficient matrices symmetrized; cached."""
-        if self._is_symmetric:
-            return self
-        if self._symmetric is None:
-            self._symmetric = PolyMap._adopt(
-                {k: symmetrize_columns(W, self.base_dim, k) for k, W in self.terms.items()},
-                self.base_dim,
-                self.rows,
-                symmetric=True,
-            )
-        return self._symmetric
-
     def jacobian(self, x):
         """Jacobian ``d(self)/dx`` at ``x``, shape ``(rows, base_dim)``."""
         if self._compact_jac is None:
@@ -516,38 +517,33 @@ class PolyMap:
 
     def truncated(self, d):
         """Drop all terms of degree above ``d``."""
-        return PolyMap._adopt(
-            {k: W for k, W in self.terms.items() if k <= d},
-            self.base_dim,
-            self.rows,
-            symmetric=self._is_symmetric,
-        )
+        terms = {k: W for k, W in self.terms.items() if k <= d}
+        return PolyMap._adopt(terms, self.base_dim, self.rows)
 
     def __repr__(self):
         degs = sorted(self.terms)
         return f"PolyMap(rows={self.rows}, base_dim={self.base_dim}, degrees={degs})"
 
 
-def compose_degree(maps, T, k, symmetric=False):
+def compose_degree(maps, T, k):
     """Degree-k coefficient ``sum_j M_j Tcal_{j,k}`` of the composition ``M(T(z))``.
 
     ``maps`` maps degree ``j`` to ``M_j`` and ``T`` maps degree ``i`` to
     ``T_i``; degree-0 entries of either are never read, and absent degrees
     count as zero.  Returns None when no term contributes.
 
-    ``symmetric`` states that every ``M_j`` is symmetric in its ``j`` slots.
-    Then each partition of k is contracted once, scaled by its number of
-    orderings (see :func:`_composition_terms`), and the result equals the
-    Kronecker coefficient only up to column symmetry: it represents the same
-    polynomial, and its symmetrized columns agree.  Every consumer in the
-    package reads it that way: the balanced-realization recursions,
-    :func:`~nlbt.realization.balanced_output` and the series inverse ``P``
-    symmetrize it, the inod solve sums each column group, and ``Tbar`` is read
-    through ``symmetrized()`` or by evaluation.  Otherwise every composition
-    is contracted and the result is the exact Kronecker coefficient.
+    Every ``M_j`` must be symmetric in its ``j`` slots, as every
+    :class:`PolyMap` coefficient is.  Each partition of k is contracted once,
+    scaled by its number of orderings (see :func:`_composition_terms`), so
+    the result equals the Kronecker coefficient only up to column symmetry:
+    it represents the same polynomial, and :func:`symmetrize_columns` of the
+    two agree.  Every consumer reads it that way: :func:`compose` and the
+    series inverse symmetrize it, the balanced-realization recursions
+    symmetrize it after subtracting their coupling, and the inod solve sums
+    each column group.
     """
     acc = None
-    for degrees, mult in _composition_terms(k, symmetric):
+    for degrees, mult in _composition_terms(k):
         M = maps.get(len(degrees))
         if M is None or any(c not in T for c in degrees):
             continue
@@ -565,10 +561,8 @@ def compose(P, T, d_out):
     """Composition ``P(T(z))`` truncated to degree ``d_out``.
 
     ``T`` must have no constant term.  The degree-i coefficient of the result
-    is :func:`compose_degree` ``(P.terms, T.terms, i, P._is_symmetric)``: for
-    a ``P`` symmetric by construction it holds the composed polynomial up to
-    column symmetry, otherwise its exact Kronecker coefficients.  The result
-    is never marked symmetric.
+    is :func:`symmetrize_columns` of :func:`compose_degree`
+    ``(P.terms, T.terms, i)``.
     """
     if 0 in T.terms and np.any(T.terms[0]):
         raise ValueError("compose requires T without a constant term")
@@ -576,9 +570,9 @@ def compose(P, T, d_out):
         raise ValueError("dimension mismatch: P.base_dim != T.rows")
     out = {}
     for i in range(1, d_out + 1):
-        acc = compose_degree(P.terms, T.terms, i, P._is_symmetric)
+        acc = compose_degree(P.terms, T.terms, i)
         if acc is not None:
-            out[i] = acc
+            out[i] = symmetrize_columns(acc, T.base_dim, i)
     if 0 in P.terms:
         out[0] = P.terms[0]
     return PolyMap._adopt(out, T.base_dim, P.rows)

@@ -1,12 +1,12 @@
 """Explicit balanced realization, inverse transformation, and truncation.
 
-Every known term is a composition with the symmetrized transform: the drift,
-input and output maps through :func:`nlbt.kron.compose` (once per map, before
-the degree loop), the series inverse through :func:`nlbt.kron.compose_degree`.
-A map symmetric by construction (``P``, maps built from monomials) is
-composed over the partitions of each degree, so its composition holds the
-right coefficients only up to column symmetry; every recursion symmetrizes
-its bracket before the solve, which makes that enough.
+Every known term is a composition with the transform, whose coefficients,
+like every map's, are symmetric in their slots: the output map through
+:func:`nlbt.kron.compose`, the drift and input maps and the series inverse
+through :func:`nlbt.kron.compose_degree`.  Composing over the partitions of
+each degree gives the right coefficients only up to column symmetry, so
+``compose`` symmetrizes the output map and every recursion symmetrizes its
+bracket before the solve.
 The drift/input recursions isolate each unknown coefficient behind the
 (analytically invertible) linear transform coefficient instead of inverting
 the full nonlinear Jacobian.  The degree-0 input column transforms as
@@ -85,18 +85,20 @@ def _solve_recursion(pm, seed, Tbar, Tbar1_inv, d, r, couple_top):
     constant term).
     """
     n = Tbar.rows
-    Tsym = Tbar.symmetrized()
-    Ts = Tsym.terms
-    comp = compose(pm, truncate_transform(Tsym, r), d)
+    Ts = Tbar.terms
+    Tr = truncate_transform(Tbar, r).terms
     Xbar = dict(seed)
     for k in range(1, d + 1):
-        rhs = comp.term(k)
-        for i in range(2, min(k + couple_top, Tsym.degree) + 1):
+        # the raw partition sum: symmetrize_columns below takes the whole bracket
+        rhs = compose_degree(pm.terms, Tr, k)
+        if rhs is None:
+            rhs = np.zeros((pm.rows, r ** k))
+        for i in range(2, min(k + couple_top, Tbar.degree) + 1):
             jj = k - i + 1
             if jj in Xbar:
                 rhs = rhs - _coupling(Ts[i], Xbar[jj], i, n, r)
         Xbar[k] = Tbar1_inv @ symmetrize_columns(rhs, r, k)
-    return PolyMap._adopt(Xbar, r, n, symmetric=True)
+    return PolyMap._adopt(Xbar, r, n)
 
 
 def balanced_drift(f, Tbar, Tbar1_inv, d, r=None):
@@ -104,8 +106,8 @@ def balanced_drift(f, Tbar, Tbar1_inv, d, r=None):
 
     ``Fbar_k = Tbar_1^{-1} [ sum_j F_j Tcal_{j,k} - sum_{i>=2} Tbar_i L_i(Fbar_{k-i+1}) ]``,
     evaluated in increasing k.  The bracket is only a coefficient identity up
-    to column symmetry (both sides represent the same polynomial), so it is
-    symmetrized before the solve; the result is the canonical symmetric
+    to column symmetry (both sides represent the same polynomial), so the
+    solve takes its symmetric part; the result is the canonical symmetric
     representative.  With a retained order ``r`` (default ``n``) the result
     holds the columns that only touch states < r, as a map on ``R^r`` with
     all ``n`` rows.
@@ -136,9 +138,8 @@ def balanced_output(h, Tbar, d, r=None):
     the truncated transform ``Tbar^(r)``.
     """
     r = Tbar.rows if r is None else r
-    comp = compose(h, truncate_transform(Tbar.symmetrized(), r), d)
-    Hbar = {k: symmetrize_columns(W, r, k) for k, W in comp.terms.items() if k >= 1}
-    return PolyMap._adopt(Hbar, r, h.rows, symmetric=True)
+    comp = compose(h, truncate_transform(Tbar, r), d)
+    return PolyMap._adopt({k: W for k, W in comp.terms.items() if k >= 1}, r, h.rows)
 
 
 def inverse_transform_coeffs(Tbar, Tbar1_inv, d, r=None):
@@ -153,15 +154,14 @@ def inverse_transform_coeffs(Tbar, Tbar1_inv, d, r=None):
     """
     n = Tbar.rows
     r = n if r is None else r
-    Ts = Tbar.symmetrized().terms
     P1 = np.asarray(Tbar1_inv, dtype=float)
     P = {1: P1[:r].copy()}
     for i in range(2, d + 1):
-        acc = compose_degree(P, Ts, i, symmetric=True)
+        acc = compose_degree(P, Tbar.terms, i)
         if acc is None:
             acc = np.zeros((r, n ** i))
         P[i] = symmetrize_columns(-mat_times_kron(acc, [P1] * i), n, i)
-    return PolyMap._adopt(P, n, r, symmetric=True)
+    return PolyMap._adopt(P, n, r)
 
 
 @lru_cache(maxsize=64)
@@ -196,7 +196,7 @@ def truncate_transform(Tbar, r):
     terms = {
         k: truncate_columns(W, n, r, k) for k, W in Tbar.terms.items() if k >= 1
     }
-    return PolyMap._adopt(terms, r, Tbar.rows, symmetric=Tbar._is_symmetric)
+    return PolyMap._adopt(terms, r, Tbar.rows)
 
 
 class BalancingTransform:
@@ -248,9 +248,7 @@ def _leading_rows(pm, r):
     if r == pm.rows:
         return pm
     # copies, so the ROM does not keep the full-order rows alive
-    return PolyMap._adopt(
-        {k: W[:r].copy() for k, W in pm.terms.items()}, pm.base_dim, r, symmetric=pm._is_symmetric
-    )
+    return PolyMap._adopt({k: W[:r].copy() for k, W in pm.terms.items()}, pm.base_dim, r)
 
 
 def build_rom(balancing, r, d_rom, x0=None, g_degree=None):

@@ -126,7 +126,7 @@ def assemble_scaling_coeffs(A_per_state, n, d):
             Ak[i, col] = A_per_state[i, k]
         if k == 1 or np.any(Ak):
             terms[k] = Ak
-    return PolyMap._adopt(terms, n, n, symmetric=True)
+    return PolyMap._adopt(terms, n, n)
 
 
 def compose_balancing(transform, scaling_map, d):

@@ -102,8 +102,11 @@ def white_noise(amp, seed, hold_dt=0.01, m=1):
     """Zero-order-hold Gaussian noise, reproducible from the seed.
 
     The value on interval ``[k hold_dt, (k+1) hold_dt)`` is drawn from a
-    generator seeded with ``(seed, k)``, so evaluation order cannot change the
-    sequence.  The current interval's draw is kept, read-only, because an
+    generator seeded with ``(seed, k)`` for ``k >= 0``, so evaluation order
+    cannot change the sequence.  An interval ``k < 0`` is seeded with the
+    child ``SeedSequence((seed, -k), spawn_key=(1,))``: a child's entropy is
+    padded to four words before its spawn key, so no key ``(seed, k)`` gives
+    it.  The current interval's draw is kept, read-only, because an
     integrator evaluates many times per interval.
     """
     held = {}  # interval index -> its value, for the last interval drawn
@@ -112,7 +115,11 @@ def white_noise(amp, seed, hold_dt=0.01, m=1):
         k = int(np.floor(t / hold_dt))
         if k not in held:
             held.clear()
-            value = amp * np.random.default_rng((int(seed), k)).standard_normal(m)
+            if k >= 0:
+                key = (int(seed), k)
+            else:
+                key = np.random.SeedSequence((int(seed), -k), spawn_key=(1,))
+            value = amp * np.random.default_rng(key).standard_normal(m)
             value.setflags(write=False)
             held[k] = value
         return held[k]

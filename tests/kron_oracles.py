@@ -140,8 +140,8 @@ def add_at_symmetrize(W, n, k):
 def sparse_group_fold(W, n, k):
     """Group sums of the columns of ``W`` as a sparse 0/1 ``(monomials, n**k)`` product.
 
-    The fold of a map not symmetric in its slots,
-    :func:`nlbt.kron._fold`, must reproduce it bit for bit.
+    The fold (:func:`nlbt.kron._fold`) of a map built from ``W``, which
+    stores the group means, must reproduce it to two roundings.
     """
     inv, counts, _ = _symmetry_groups(n, k)
     cols = inv.size

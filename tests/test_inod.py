@@ -150,7 +150,7 @@ class TestInodTransform:
         from nlbt.kron import PolyMap, compose
 
         Eo_pm = PolyMap({k: 0.5 * v[None, :] for k, v in Eo.coeffs.items()}, 2)
-        comp = compose(Eo_pm, res.transform, 4).symmetrized()
+        comp = compose(Eo_pm, res.transform, 4)
         lead = abs(comp.term(2)).max()
         for k in (3, 4):
             W = comp.term(k)

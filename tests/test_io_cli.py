@@ -7,7 +7,7 @@ import pytest
 from nlbt import models
 from nlbt.cli import _load_rom, main
 from nlbt.errors import ContractViolation
-from nlbt.kron import PolyMap
+from nlbt.kron import PolyMap, symmetrize_columns
 from nlbt.pipeline import balance
 from nlbt.serialization import (
     FormatError,
@@ -29,6 +29,8 @@ class TestKpsFormat:
             lambda: models.pendulum(5),
             models.three_dim_illustrative,
             lambda: models.random_stable_poly(4, 3, seed=3),
+            # drift blocks drawn non-symmetric, stored as their representative
+            lambda: models.random_stable_poly(6, 3, seed=0),
         ],
     )
     def test_round_trip_bit_exact(self, factory, tmp_path):
@@ -37,6 +39,20 @@ class TestKpsFormat:
         save_system(sys, path)
         back = load_system(path)
         assert systems_equal(sys, back)
+
+    def test_non_symmetric_blocks_load_to_the_same_polynomial(self):
+        # a foreign document may store any Kronecker coefficient of a degree
+        rng = np.random.default_rng(8)
+        obj = system_to_dict(models.pendulum(3))
+        raw = {k: rng.standard_normal((2, 2 ** k)) for k in (2, 3)}
+        for k, W in raw.items():
+            obj["f"][str(k)] = [[format(v, ".17g") for v in row] for row in W]
+        f = system_from_dict(obj).f
+        for k, W in raw.items():
+            npt.assert_array_equal(f.terms[k], symmetrize_columns(W, 2, k))
+        for x in 0.5 * rng.standard_normal((4, 2)):
+            want = f.terms[1] @ x + raw[2] @ np.kron(x, x) + raw[3] @ np.kron(x, np.kron(x, x))
+            npt.assert_allclose(f(x), want, rtol=1e-14, atol=1e-15)
 
     def test_dict_round_trip(self):
         sys = models.beam_single_element()
@@ -162,6 +178,24 @@ class TestCli:
         for k, W in rows.terms.items():
             assert np.array_equal(P.terms[k], W), k
 
+    def test_artifact_carrying_p_reduces_to_the_same_rom(self, tmp_path):
+        # artifacts written before the series inverse became derived data
+        # carry a "P" field, which reduce does not read
+        art_path = tmp_path / "art.json"
+        main(["balance", "--model", "double-pendulum:3", "--degree", "3", "--out", str(art_path)])
+        art = json.loads(art_path.read_text())
+        assert "P" not in art
+        old_path = tmp_path / "old.json"
+        art["P"] = polymap_to_dict(balance(models.double_pendulum(3), 3).P)
+        old_path.write_text(json.dumps(art))
+        docs = []
+        for path in (art_path, old_path):
+            rom_path = tmp_path / f"rom-{path.stem}.json"
+            assert main(["reduce", "--artifact", str(path), "-r", "2", "--x0", "0.1,0,0,0.1",
+                         "--out", str(rom_path)]) == 0
+            docs.append(json.loads(rom_path.read_text()))
+        assert docs[0] == docs[1]
+
     def test_hypothesis_violation_exit_code(self, tmp_path):
         # identical Gramians -> repeated Hankel singular values
         from nlbt.kron import ControlAffineSystem, PolyMap
@@ -251,6 +285,21 @@ class TestCli:
             "bench", "--sizes", "64", "--degree", "3", "--budget-gb", "0.000001",
             "--out", str(tmp_path / "b2.csv"),
         ]) == 4
+
+    def test_bench_zero_repetitions_is_parse_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "8", "--repetitions", "0", "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse_error", "reason": "repetitions must be at least 1"}
+        assert not out.exists()
+
+    def test_simulate_white_noise_before_zero(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main([
+            "simulate", "model:pendulum:3", "--tspan=-1,1",
+            "--input", "white_noise:amp=1,seed=3", "--samples", "50", "--out", str(out),
+        ]) == 0
+        assert out.exists()
 
     def test_bench_time_monotone(self, tmp_path):
         from nlbt.bench import run_bench

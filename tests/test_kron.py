@@ -28,6 +28,7 @@ from nlbt.kron import (
     column_multi_indices,
     compose,
     compose_degree,
+    compositions,
     mat_times_kron,
     multi_index_to_column,
     polymap_from_monomials,
@@ -143,32 +144,42 @@ class TestSymmetrize:
             n = rng.integers(2, 4)
             terms = {k: rng.standard_normal((2, n ** k)) for k in (1, 2, 3)}
             pm = PolyMap(terms, int(n), rows=2)
-            sym = pm.symmetrized()
             for _ in range(10):
                 x = rng.standard_normal(int(n))
-                a, b = pm(x), sym(x)
-                npt.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
+                npt.assert_allclose(pm(x), naive_eval(terms, x), rtol=1e-12, atol=1e-13)
 
-    def test_symmetrized_copy_is_cached_and_idempotent(self):
-        pm = PolyMap({2: np.arange(4.0)[None, :]}, 2)
-        sym = pm.symmetrized()
-        assert pm.symmetrized() is sym
-        assert sym.symmetrized() is sym
 
-    def test_symmetrized_copy_freed_without_cycle_collection(self):
-        # large transforms are symmetrized once per balancing run; a reference
-        # cycle would keep each copy alive until the next full collection
-        import gc
-        import weakref
+class TestCanonicalForm:
+    """Every PolyMap stores the symmetric representative of its coefficients."""
 
-        pm = PolyMap({2: np.ones((1, 4))}, 2)
-        ref = weakref.ref(pm.symmetrized())
-        gc.disable()
-        try:
-            del pm
-            assert ref() is None
-        finally:
-            gc.enable()
+    def test_non_symmetric_blocks_stored_symmetrized(self):
+        rng = np.random.default_rng(40)
+        n = 3
+        terms = {k: rng.standard_normal((2, n ** k)) for k in (0, 1, 2, 3)}
+        pm = PolyMap(terms, n)
+        for k, W in terms.items():
+            want = W if k < 2 else symmetrize_columns(W, n, k)
+            npt.assert_array_equal(pm.terms[k], want)
+        for x in 0.7 * rng.standard_normal((5, n)):
+            want = naive_eval(terms, x)
+            npt.assert_allclose(pm(x), want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+    def test_rebuilt_from_terms_is_bit_identical(self):
+        for n, k in ((2, 2), (3, 3), (4, 4)):
+            canon = PolyMap({k: _wide_range_columns(3, n, k, seed=n + k)}, n)
+            again = PolyMap(canon.terms, n)
+            npt.assert_array_equal(again.terms[k], canon.terms[k])
+        # symmetrizing again would round the groups of 24: the check keeps them
+        assert not np.array_equal(symmetrize_columns(canon.terms[k], n, k), canon.terms[k])
+
+    def test_partly_symmetric_block_symmetrized_whole(self):
+        # one non-symmetric row makes the whole block its symmetrize_columns,
+        # which rounds the symmetric rows' groups of 24 again
+        W = _wide_range_columns(3, 4, 4, seed=42)
+        W[1:] = symmetrize_columns(W[1:], 4, 4)
+        want = symmetrize_columns(W, 4, 4)
+        assert not np.array_equal(want[1:], W[1:])
+        npt.assert_array_equal(PolyMap({4: W}, 4).terms[4], want)
 
 
 _GROUP_SHAPES = [(n, k) for n in (1, 2, 3, 5, 8) for k in (2, 3, 4)]
@@ -181,7 +192,8 @@ def _wide_range_columns(rows, n, k, seed):
 
 
 class TestGroupSums:
-    """One bincount sums every column group, bit for bit as the routes it replaced."""
+    """One bincount sums every column group, bit for bit as the routes it replaced;
+    a map's fold is that group sum to rounding."""
 
     @pytest.mark.parametrize("rows", [1, 4])
     @pytest.mark.parametrize("n, k", _GROUP_SHAPES)
@@ -192,8 +204,11 @@ class TestGroupSums:
     @pytest.mark.parametrize("rows", [1, 4])
     @pytest.mark.parametrize("n, k", _GROUP_SHAPES)
     def test_fold_matches_sparse_group_sum(self, n, k, rows):
+        # a map built from W stores W's group means, and its fold multiplies
+        # them back by the group sizes: two roundings of the group sum
         W = _wide_range_columns(rows, n, k, seed=n * 10 + k + 1)
-        npt.assert_array_equal(_fold(W, n, k, symmetric=False), sparse_group_fold(W, n, k))
+        folded = _fold(PolyMap({k: W}, n).terms[k], n, k)
+        npt.assert_allclose(folded, sparse_group_fold(W, n, k), rtol=2.3e-16, atol=0)
 
     @pytest.mark.parametrize("n, k", _GROUP_SHAPES)
     def test_inod_sums_match_bincount_over_group_ids(self, n, k):
@@ -219,14 +234,13 @@ class TestJacobian:
         terms = {k: rng.standard_normal((3, 3 ** k)) for k in (1, 2, 3)}
         x = rng.standard_normal(3) * 0.5
         h = 1e-5
-        # a symmetric map folds by gathering, the raw one by summing groups
-        for pm in (PolyMap(terms, 3).symmetrized(), PolyMap(terms, 3)):
-            J = pm.jacobian(x)
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                fd = (pm(x + e) - pm(x - e)) / (2 * h)
-                npt.assert_allclose(J[:, j], fd, rtol=1e-6, atol=1e-8)
+        pm = PolyMap(terms, 3)
+        J = pm.jacobian(x)
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = h
+            fd = (pm(x + e) - pm(x - e)) / (2 * h)
+            npt.assert_allclose(J[:, j], fd, rtol=1e-6, atol=1e-8)
 
 
 def _random_terms(rng, rows, n, degrees):
@@ -272,16 +286,6 @@ class TestCompactEvaluator:
             want = naive_jacobian(terms, x, pm.rows)
             scale = max(np.abs(want).max(), 1.0)
             npt.assert_allclose(pm.jacobian(x), want, rtol=1e-14, atol=1e-14 * scale)
-
-    def test_symmetric_fold_matches_group_sum(self):
-        # a symmetric map folds by picking one column per monomial; the
-        # general fold sums each group: both give the same values
-        rng = np.random.default_rng(16)
-        pm = PolyMap(_random_terms(rng, 2, 3, (1, 2, 3)), 3)
-        sym = pm.symmetrized()
-        assert sym._is_symmetric and not pm._is_symmetric
-        X = rng.standard_normal((4, 3))
-        npt.assert_allclose(sym.evaluate(X), pm.evaluate(X), rtol=1e-13, atol=1e-14)
 
     def test_evaluate_shape_checked(self):
         pm = PolyMap({1: np.eye(2)}, 2)
@@ -489,8 +493,8 @@ class TestCompose:
         P = PolyMap({k: rng.standard_normal((2, 2 ** k)) for k in (1, 2, 3)}, 2)
         T = PolyMap({k: rng.standard_normal((2, 2 ** k)) for k in (1, 2, 3)}, 2)
         S = PolyMap({k: rng.standard_normal((2, 2 ** k)) for k in (1, 2, 3)}, 2)
-        left = compose(compose(P, T, d), S, d).symmetrized()
-        right = compose(P, compose(T, S, d), d).symmetrized()
+        left = compose(compose(P, T, d), S, d)
+        right = compose(P, compose(T, S, d), d)
         for k in (1, 2, 3):
             npt.assert_allclose(left.term(k), right.term(k), rtol=1e-12, atol=1e-12)
 
@@ -501,7 +505,8 @@ class TestCompose:
         d = 4
         comp = compose(P, T, d)
         for k in range(1, d + 1):
-            npt.assert_array_equal(compose_degree(P.terms, T.terms, k), comp.term(k))
+            want = symmetrize_columns(compose_degree(P.terms, T.terms, k), 2, k)
+            npt.assert_array_equal(comp.term(k), want)
 
     def test_compose_degree_none_without_contribution(self):
         # T has no linear term: degree 3 would need T_1 or T_3
@@ -529,7 +534,7 @@ PARTITIONS = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 class TestCompositionTerms:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_symmetric_multiplicities_count_compositions(self, k):
-        table = _composition_terms(k, True)
+        table = _composition_terms(k)
         assert len(table) == PARTITIONS[k - 1]
         for j in range(1, k + 1):
             entries = [(d, mult) for d, mult in table if len(d) == j]
@@ -544,9 +549,11 @@ class TestCompositionTerms:
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_general_table_lists_each_composition_once(self, k):
-        table = _composition_terms(k, False)
-        assert all(mult == 1 for _, mult in table)
-        listed = [d for d, _ in table]
+        # the orderings of the listed partitions are the compositions that
+        # the exact Kronecker coefficient sums over
+        listed = [
+            c for degrees, _ in _composition_terms(k) for c in set(itertools.permutations(degrees))
+        ]
         # a composition is a set of cut points in 1..k-1
         every = [
             tuple(np.diff((0, *cuts, k)))
@@ -557,9 +564,10 @@ class TestCompositionTerms:
         assert set(listed) == set(every)
 
     def test_degree_two_tables_agree(self):
-        # no partition of 1 or 2 has two orderings, so both tables are one list
+        # no partition of 1 or 2 has two orderings: the table is the compositions
         for k in (1, 2):
-            assert _composition_terms(k, True) == _composition_terms(k, False)
+            want = tuple((c, 1) for j in range(1, k + 1) for c in compositions(k, j))
+            assert _composition_terms(k) == want
 
 
 def _symmetric_maps(rng, rows, n, degrees):
@@ -574,7 +582,7 @@ class TestComposeOverPartitions:
         maps = _symmetric_maps(rng, 2, n, range(1, 9))
         T = {i: rng.standard_normal((n, n ** i)) / i for i in (1, 2, 4, 5, 6, 7, 8)}
         for k in range(1, 9):
-            got = compose_degree(maps, T, k, symmetric=True)
+            got = compose_degree(maps, T, k)
             want = sum(
                 term
                 for j in range(1, k + 1)
@@ -584,42 +592,12 @@ class TestComposeOverPartitions:
             scale = np.abs(want).max()
             npt.assert_allclose(symmetrize_columns(got, n, k), want, rtol=0, atol=1e-13 * scale)
 
-    def test_general_map_keeps_kronecker_coefficients(self):
-        rng = np.random.default_rng(34)
-        maps = {j: rng.standard_normal((2, 2 ** j)) for j in (1, 2, 3)}
-        T = {i: rng.standard_normal((2, 2 ** i)) for i in (1, 2, 3)}
-        for k in range(1, 6):
-            want = sum(
-                term
-                for j in maps
-                if (term := mat_times_tensor_sum(maps[j], T, j, k)) is not None
-            )
-            npt.assert_allclose(compose_degree(maps, T, k), want, rtol=1e-13, atol=1e-14)
-
-    def test_compose_reads_symmetry_flag(self):
-        rng = np.random.default_rng(35)
-        terms = _symmetric_maps(rng, 2, 2, (1, 2, 3))
-        T = PolyMap({i: rng.standard_normal((2, 2 ** i)) for i in (1, 2)}, 2)
-        fast = compose(PolyMap._adopt(terms, 2, 2, symmetric=True), T, 4)
-        exact = compose(PolyMap(terms, 2), T, 4)
-        # same polynomial, different representative from degree 3 on
-        assert not np.allclose(fast.term(3), exact.term(3))
-        for k in (1, 2, 3, 4):
-            npt.assert_allclose(
-                symmetrize_columns(fast.term(k), 2, k),
-                exact.symmetrized().term(k),
-                rtol=1e-13,
-                atol=1e-14,
-            )
-        x = np.array([0.3, -0.2])
-        npt.assert_allclose(fast(x), exact(x), rtol=1e-13)
-
     def test_symmetric_degree_seven_contracts_each_partition_once(self, monkeypatch):
         # sum_k p(k) = 44 products for k = 1..7, against 2^7 - 1 = 127 compositions
         import nlbt.kron as kron
 
         rng = np.random.default_rng(36)
-        P = PolyMap._adopt(_symmetric_maps(rng, 2, 2, range(1, 8)), 2, 2, symmetric=True)
+        P = PolyMap(_symmetric_maps(rng, 2, 2, range(1, 8)), 2)
         T = PolyMap({i: rng.standard_normal((2, 2 ** i)) for i in range(1, 8)}, 2)
         calls = []
         real = kron.mat_times_kron

@@ -124,6 +124,24 @@ class TestSignals:
         assert u(0.0) == u(0.49)
         assert u(0.0) != u(0.51)
 
+    def test_white_noise_both_sides_of_zero(self):
+        hold, seed = 0.5, 3
+        u = white_noise(2.0, seed=seed, hold_dt=hold, m=2)
+        ts = np.array([-1.6, -1.0, -0.7, -0.25, 0.0, 0.25, 0.6, 1.3])
+        a = np.array([u(t) for t in ts])
+        # t >= 0 keeps its draws: the generator seeded with (seed, k)
+        for t, got in zip(ts, a):
+            k = int(np.floor(t / hold))
+            if k >= 0:
+                want = 2.0 * np.random.default_rng((seed, k)).standard_normal(2)
+                npt.assert_array_equal(got, want)
+        # every interval, negative ones included, has its own reproducible draw
+        b = np.array([white_noise(2.0, seed=seed, hold_dt=hold, m=2)(t) for t in reversed(ts)])
+        npt.assert_array_equal(a, b[::-1])
+        draws = {int(np.floor(t / hold)): tuple(v) for t, v in zip(ts, a)}
+        assert len(set(draws.values())) == len(draws) == 6
+        npt.assert_array_equal(u(-0.01), u(-0.49))
+
     def test_white_noise_values_are_read_only(self):
         # one interval's draw is shared by every evaluation inside it
         u = white_noise(1.0, seed=3, hold_dt=0.5, m=2)
