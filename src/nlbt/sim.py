@@ -1,4 +1,8 @@
-"""Time integration, input signals, trajectory containers, and error metrics."""
+"""Time integration, input signals, trajectory containers, and error metrics.
+
+Every trajectory is integrated by one method: scipy's adaptive eighth-order
+Dormand–Prince pair (DOP853), sampled from its dense output on a uniform grid.
+"""
 
 import io
 import os
@@ -148,52 +152,57 @@ def integrate(
     n_samples=2000,
     output=None,
 ):
-    """Adaptive RK45 integration sampled on a uniform grid.
+    """Adaptive DOP853 integration, sampled from its dense output on a uniform grid.
 
     ``rhs(x, u_val)`` is the state derivative; ``u(t)`` the input signal;
-    ``output(x)`` the optional output map.  Divergence (solver failure or
-    non-finite states) is flagged on the trajectory rather than raised, with
-    the samples covering the reached interval.
+    ``output(x)`` the optional output map.  ``t_span`` must be two finite
+    times ``t0 < tf``; anything else raises ``ValueError``.  Divergence
+    (solver failure or non-finite states) is flagged on the trajectory rather
+    than raised, with the samples re-spaced over the reached interval; the
+    overflow on the way there raises no numpy warning.
     """
     x0 = np.asarray(x0, dtype=float)
-    t0, tf = float(t_span[0]), float(t_span[1])
+    span = np.asarray(t_span, dtype=float)
+    if span.shape != (2,) or not np.all(np.isfinite(span)) or span[1] <= span[0]:
+        raise ValueError(f"t_span must be two finite times t0 < tf, got {span.tolist()}")
+    t0, tf = float(span[0]), float(span[1])
 
     def f(t, x):
-        val = rhs(x, u(t))
-        return val
+        return rhs(x, u(t))
 
-    sol = solve_ivp(
-        f,
-        (t0, tf),
-        x0,
-        method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
-        dense_output=True,
-    )
-    diverged = (not sol.success) or sol.t[-1] < tf or not np.all(np.isfinite(sol.y))
-    t_end = min(sol.t[-1], tf)
-    if t_end <= t0:
-        # failed on the very first step: report the initial sample only
-        return Trajectory(
-            np.array([t0]),
-            x0[None, :],
-            y=None if output is None else np.atleast_1d(output(x0))[None, :],
-            u=np.atleast_1d(u(t0))[None, :],
-            diverged=True,
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            f,
+            (t0, tf),
+            x0,
+            method="DOP853",
+            rtol=rel_tol,
+            atol=abs_tol,
+            dense_output=True,
         )
-    grid = np.linspace(t0, t_end, n_samples)
-    xs = sol.sol(grid).T
-    if not np.all(np.isfinite(xs)):
-        good = np.all(np.isfinite(xs), axis=1)
-        last = int(np.argmin(good)) if not good.all() else xs.shape[0]
-        last = max(last, 2)
-        grid, xs = grid[:last], xs[:last]
-        diverged = True
-    us = np.array([np.atleast_1d(u(t)) for t in grid])
-    ys = None
-    if output is not None:
-        ys = np.array([np.atleast_1d(output(x)) for x in xs])
+        diverged = (not sol.success) or sol.t[-1] < tf or not np.all(np.isfinite(sol.y))
+        t_end = min(sol.t[-1], tf)
+        if t_end <= t0:
+            # failed on the very first step: report the initial sample only
+            return Trajectory(
+                np.array([t0]),
+                x0[None, :],
+                y=None if output is None else np.atleast_1d(output(x0))[None, :],
+                u=np.atleast_1d(u(t0))[None, :],
+                diverged=True,
+            )
+        grid = np.linspace(t0, t_end, n_samples)
+        xs = sol.sol(grid).T
+        if not np.all(np.isfinite(xs)):
+            good = np.all(np.isfinite(xs), axis=1)
+            last = int(np.argmin(good)) if not good.all() else xs.shape[0]
+            last = max(last, 2)
+            grid, xs = grid[:last], xs[:last]
+            diverged = True
+        us = np.array([np.atleast_1d(u(t)) for t in grid])
+        ys = None
+        if output is not None:
+            ys = np.array([np.atleast_1d(output(x)) for x in xs])
     return Trajectory(grid, xs, y=ys, u=us, diverged=diverged)
 
 

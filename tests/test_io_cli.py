@@ -301,6 +301,17 @@ class TestCli:
         ]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("tspan", ["1,0", "0,0", "0,1,2"])
+    def test_simulate_bad_tspan_is_parse_error(self, tspan, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main([
+            "simulate", "model:pendulum:3", f"--tspan={tspan}", "--out", str(out),
+        ]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse_error"
+        assert err["reason"].startswith("t_span must be two finite times t0 < tf")
+        assert not out.exists()
+
     def test_bench_time_monotone(self, tmp_path):
         from nlbt.bench import run_bench
 

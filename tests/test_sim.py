@@ -39,11 +39,37 @@ class TestIntegrate:
         assert errs[1] < errs[0]
 
     def test_divergence_flagged(self):
+        # x' = x^2 from x0 = 1 blows up at t = 1: the samples are re-spaced
+        # over the interval the solver reached
         traj = integrate(
             lambda x, u: x ** 2, np.array([1.0]), zero_signal(), (0, 5), n_samples=200
         )
         assert traj.diverged
-        assert traj.t[-1] <= 5.0
+        assert traj.t.size == 200 and traj.x.shape == (200, 1)
+        assert traj.t[0] == 0.0
+        assert abs(traj.t[-1] - 1.0) <= 1e-6
+        npt.assert_allclose(np.diff(traj.t), traj.t[-1] / 199, rtol=1e-9)
+        assert np.all(np.isfinite(traj.x))
+
+    def test_overflowing_rhs_is_flagged_not_raised(self):
+        # the test configuration turns RuntimeWarning into an error, so an
+        # overflow warning inside the solve would raise here
+        traj = integrate(lambda x, u: x ** 7, np.array([10.0]), zero_signal(), (0, 5))
+        assert traj.diverged
+        assert np.all(np.isfinite(traj.x))
+
+    def test_overflowing_rom_is_flagged_not_raised(self):
+        rom = balance(models.pendulum(7), 7).reduce(1, x0=[3, 0])
+        traj = simulate_system(rom.sys, np.array([50.0]), sinusoid(1, 1), (0, 20))
+        assert traj.diverged
+        assert np.all(np.isfinite(traj.x))
+
+    @pytest.mark.parametrize(
+        "t_span", [(1, 0), (0, 0), (0, 1, 2), (0,), (0, np.inf), (np.nan, 1)]
+    )
+    def test_rejects_bad_time_spans(self, t_span):
+        with pytest.raises(ValueError, match="t_span must be two finite times"):
+            integrate(lambda x, u: -x, np.array([1.0]), zero_signal(), t_span)
 
     def test_balanced_coordinates_reproduce_full_model(self):
         # simulate the full balanced realization and map back through the
@@ -84,6 +110,25 @@ class TestSimulateSystem:
         assert len(calls) > 50
         npt.assert_array_equal(traj.x, ref.x)
         npt.assert_array_equal(traj.y, ref.y)
+
+    def test_dp5_rom_step_count(self):
+        # the eighth-order pair takes 3011 right-hand-side calls here; the
+        # fifth-order RK45 took 5144
+        rom = balance(models.double_pendulum(5), 5).reduce(2, d_rom=5, x0=np.zeros(4))
+        rhs = rom.sys.rhs
+        calls = []
+
+        def counted(x, uv):
+            calls.append(1)
+            return rhs(x, uv)
+
+        rom.sys.rhs = counted
+        traj = simulate_system(
+            rom.sys, rom.x_r0, sinusoid(1.0, 2.5), (0, 40), n_samples=801,
+            rel_tol=1e-7, abs_tol=1e-9,
+        )
+        assert not traj.diverged
+        assert len(calls) <= 3200
 
     def test_batched_output_matches_per_point_output(self):
         sys = models.double_pendulum(3)
