@@ -25,7 +25,7 @@ import scipy.linalg as la
 
 from .errors import ContractViolation, HypothesisViolation
 from .kron import PolyMap, column_multi_indices, compose_degree
-from .kron import _group_sums, _symmetry_groups
+from .kron import _Compact, _group_sums, _symmetry_groups
 
 __all__ = [
     "SqSingularValueFns",
@@ -39,6 +39,8 @@ class SqSingularValueFns:
     """Per-state scalar series ``sigma_i^2(z_i) = c_0 + c_1 z_i + ...``.
 
     ``coeffs`` has shape ``(n, d+1)``; row i holds the coefficients for state i.
+    Every evaluation goes through :meth:`value_and_derivative`, one Horner
+    pass that gives ``sigma_i^2`` and its derivative together.
     """
 
     def __init__(self, coeffs):
@@ -46,29 +48,41 @@ class SqSingularValueFns:
         if np.any(self.coeffs[:, 0] <= 0):
             raise HypothesisViolation("sigma^2 constant terms must be positive")
         self.coeffs.setflags(write=False)
+        # sigma^2 and its derivative as one series with (2, n) coefficients,
+        # zero-padded to degree max(d, 1): Horner on it runs both at once
+        d = self.coeffs.shape[1] - 1
+        self._horner = np.zeros((max(d, 1) + 1, 2, self.n))
+        self._horner[: d + 1, 0] = self.coeffs.T
+        self._horner[:d, 1] = (self.coeffs[:, 1:] * np.arange(1, d + 1)).T
 
     @property
     def n(self):
         return self.coeffs.shape[0]
 
-    def value(self, z):
-        """Componentwise ``sigma_i^2(z_i)`` for a state vector ``z``."""
+    def value_and_derivative(self, z):
+        """Componentwise ``sigma_i^2(z_i)`` and ``d sigma_i^2 / d z_i``.
+
+        ``z`` is a state vector, a batch with states along the last axis, or
+        a scalar that every state takes.  Each value is rounded as a lone
+        Horner evaluation of its series would round it: the zero pads enter
+        only as ``0 z + c``.
+        """
         z = np.asarray(z, dtype=float)
-        out = self.coeffs[:, -1].copy()
-        for j in range(self.coeffs.shape[1] - 2, -1, -1):
-            out = out * z + self.coeffs[:, j]
-        return out
+        if z.ndim:
+            z = z[..., None, :]  # against the (2, n) coefficients
+        S = self._horner
+        vd = S[-1] * z + S[-2]
+        for j in range(S.shape[0] - 3, -1, -1):
+            vd = vd * z + S[j]
+        return vd[..., 0, :], vd[..., 1, :]
+
+    def value(self, z):
+        """Componentwise ``sigma_i^2(z_i)``."""
+        return self.value_and_derivative(z)[0]
 
     def derivative(self, z):
         """Componentwise ``d sigma_i^2 / d z_i``."""
-        z = np.asarray(z, dtype=float)
-        d = self.coeffs.shape[1] - 1
-        if d == 0:
-            return np.zeros(self.n)
-        out = d * self.coeffs[:, -1].copy()
-        for j in range(d - 1, 0, -1):
-            out = out * z + j * self.coeffs[:, j]
-        return out
+        return self.value_and_derivative(z)[1]
 
     def hankel_values(self):
         return np.sqrt(self.coeffs[:, 0])
@@ -187,7 +201,7 @@ def _composed_energy(E, Phi, n, q):
     return np.zeros(n ** q) if acc is None else acc.ravel()
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=64)
 def _degree_structure(n, k):
     """Sigma-independent combinatorics of the degree-k per-monomial solve."""
     q = k + 1
@@ -299,12 +313,14 @@ def _check_contracts(result, Ec, Eo, d_transf, n_dirs=2, seed=0):
     dirs = np.random.default_rng(seed).standard_normal((n_dirs, Ec.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     sig2 = result.sq_sv
+    # folded once for both ray pairs; the energies stacked as one 2-row map
+    transform = _Compact.fold([result.transform])
+    energies = _Compact.fold([Ec._doubled, Eo._doubled])
 
     def short(outer, inner):
         # both residuals on every ray at both radii, as one batch per map
         Z = np.concatenate([outer * dirs, inner * dirs])
-        X = result.transform.evaluate(Z)
-        ec, eo = Ec.value(X), Eo.value(X)
+        ec, eo = 0.5 * energies(transform(Z.T))
         ra = ec - 0.5 * np.sum(Z ** 2, axis=1)
         rb = eo - 0.5 * np.sum(Z ** 2 * sig2.value(Z), axis=1)
         floor = 1e-8 * np.maximum(np.maximum(np.abs(ec), np.abs(eo)), 1e-300)[n_dirs:]

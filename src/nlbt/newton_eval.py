@@ -6,10 +6,16 @@ the scaling map by root finding on the inverse scaling relation
 input-normal/output-diagonal transform.  Much slower than the polynomial
 realization (every evaluation lifts to the full order), so it serves as an
 independent cross-check and an optional full-order evaluator.
+
+Each scaling-Newton iterate costs one pass of
+:meth:`~nlbt.inod.SqSingularValueFns.value_and_derivative`, which gives the
+residual and the diagonal Jacobian together; the lift to ``(x, dx/dzbar)``
+reuses the converged iterate's diagonal.  The n x n solves go through
+``numpy.linalg.solve``: at the small n this path serves, scipy's input
+checks cost more than the LAPACK call.
 """
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import NewtonDivergence
 
@@ -26,27 +32,60 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
 
 
-def _sigma(sq_sv, z):
-    s2 = sq_sv.value(z)
-    if np.any(s2 <= 0):
+def _scaling_terms(sq_sv, z):
+    """``q = (sigma^2(z))**(1/4)`` and the diagonal of ``d(z q)/dz`` from one sigma^2 pass.
+
+    The diagonal is ``q + z sigma^2' / (4 q^3)``, written through
+    ``sigma = q^2`` as ``q + (z / (2q)) (sigma^2' / (2 sigma))``.
+    """
+    s2, ds2 = sq_sv.value_and_derivative(z)
+    if (s2 <= 0).any():
         raise NewtonDivergence(
             "sigma^2 evaluated nonpositive: outside the region of validity",
             last_iterate=np.asarray(z, dtype=float),
         )
-    return np.sqrt(s2)
+    sig = np.sqrt(s2)
+    q = np.sqrt(sig)
+    return q, q + 0.5 * z / q * (ds2 / (2.0 * sig))
 
 
 def eval_inverse_scaling(sq_sv, z):
     """``zbar = z * (sigma^2(z))**(1/4)`` componentwise."""
     z = np.asarray(z, dtype=float)
-    return z * _sigma(sq_sv, z) ** 0.5
+    return z * _scaling_terms(sq_sv, z)[0]
 
 
-def _inverse_scaling_jacobian_diag(sq_sv, z):
-    """Diagonal of ``d(z sqrt(sigma(z)))/dz``: sqrt(sigma) + z sigma'/(2 sqrt(sigma))."""
-    sig = _sigma(sq_sv, z)
-    dsig = sq_sv.derivative(z) / (2.0 * sig)
-    return np.sqrt(sig) + 0.5 * z / np.sqrt(sig) * dsig
+def _solve_scaling(sq_sv, zbar, tol, max_iter):
+    """:func:`newton_scaling`'s ``z``, and the diagonal of ``dzbar/dz`` there.
+
+    One sigma^2 pass at ``zbar`` seeds the iteration; after that every
+    iterate is evaluated once, and the pass at the converged one also gives
+    the returned diagonal.
+    """
+    zbar = np.asarray(zbar, dtype=float)
+    s2_guess = sq_sv.value_and_derivative(zbar)[0]
+    # outside the series' positivity region, seed with the origin scaling
+    s2_guess = np.where(s2_guess > 0, s2_guess, sq_sv.coeffs[:, 0])
+    z = zbar / s2_guess ** 0.25
+    for _ in range(max_iter):
+        q, diag = _scaling_terms(sq_sv, z)
+        resid = z * q - zbar
+        if abs(resid).max() <= tol:
+            return z, diag
+        if (abs(diag) < 1e-14).any():
+            raise NewtonDivergence(
+                "singular scaling Jacobian entry", last_iterate=z, residual=resid
+            )
+        z = z - resid / diag
+    q, diag = _scaling_terms(sq_sv, z)
+    resid = z * q - zbar
+    if abs(resid).max() <= tol:
+        return z, diag
+    raise NewtonDivergence(
+        f"scaling Newton iteration did not reach tol={tol:g}",
+        last_iterate=z,
+        residual=resid,
+    )
 
 
 def newton_scaling(sq_sv, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -55,29 +94,7 @@ def newton_scaling(sq_sv, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     The initial guess applies the constant-sigma scaling at ``zbar``, which
     already solves the problem when the singular value functions are constant.
     """
-    zbar = np.asarray(zbar, dtype=float)
-    s2_guess = sq_sv.value(zbar)
-    # outside the series' positivity region, seed with the origin scaling
-    s2_guess = np.where(s2_guess > 0, s2_guess, sq_sv.coeffs[:, 0])
-    z = zbar / s2_guess ** 0.25
-    for _ in range(max_iter):
-        resid = z * _sigma(sq_sv, z) ** 0.5 - zbar
-        if np.max(np.abs(resid)) <= tol:
-            return z
-        jac = _inverse_scaling_jacobian_diag(sq_sv, z)
-        if np.any(np.abs(jac) < 1e-14):
-            raise NewtonDivergence(
-                "singular scaling Jacobian entry", last_iterate=z, residual=resid
-            )
-        z = z - resid / jac
-    resid = z * _sigma(sq_sv, z) ** 0.5 - zbar
-    if np.max(np.abs(resid)) <= tol:
-        return z
-    raise NewtonDivergence(
-        f"scaling Newton iteration did not reach tol={tol:g}",
-        last_iterate=z,
-        residual=resid,
-    )
+    return _solve_scaling(sq_sv, zbar, tol, max_iter)[0]
 
 
 def eval_forward_balancing_newton(inod, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -89,13 +106,12 @@ def eval_forward_balancing_newton(inod, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_
 def _lift(inod, zbar, tol, max_iter):
     """``x = Phi(phi(zbar))`` and the balancing Jacobian ``dx/dzbar`` there.
 
-    One scaling solve gives ``z = phi(zbar)``; the scaling Jacobian is the
-    inverse of the (diagonal) inverse-scaling Jacobian at ``z``, so the chain
-    rule divides the columns of ``dPhi/dz`` by that diagonal.
+    One scaling solve gives ``z = phi(zbar)`` and the (diagonal)
+    inverse-scaling Jacobian at ``z``; the scaling Jacobian is its inverse,
+    so the chain rule divides the columns of ``dPhi/dz`` by that diagonal.
     """
-    z = newton_scaling(inod.sq_sv, zbar, tol=tol, max_iter=max_iter)
-    diag = _inverse_scaling_jacobian_diag(inod.sq_sv, z)
-    if np.any(np.abs(diag) < 1e-14):
+    z, diag = _solve_scaling(inod.sq_sv, zbar, tol, max_iter)
+    if (abs(diag) < 1e-14).any():
         raise NewtonDivergence("singular scaling Jacobian entry", last_iterate=z)
     return inod.transform(z), inod.transform.jacobian(z) / diag[None, :]
 
@@ -114,11 +130,11 @@ def newton_inverse_balancing(inod, x, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
     for _ in range(max_iter):
         x_k, J = _lift(inod, zbar, tol, max_iter)
         resid = x_k - x
-        if np.max(np.abs(resid)) <= tol:
+        if abs(resid).max() <= tol:
             return zbar
-        zbar = zbar - la.solve(J, resid)
+        zbar = zbar - np.linalg.solve(J, resid)
     resid = eval_forward_balancing_newton(inod, zbar, tol=tol, max_iter=max_iter) - x
-    if np.max(np.abs(resid)) <= tol:
+    if abs(resid).max() <= tol:
         return zbar
     raise NewtonDivergence(
         f"inverse balancing Newton did not reach tol={tol:g}",
@@ -135,4 +151,4 @@ def eval_balanced_rhs_newton(sys, inod, zbar, u, tol=DEFAULT_TOL, max_iter=DEFAU
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x, J = _lift(inod, zbar, tol, max_iter)
-    return la.solve(J, sys.rhs(x, u)), sys.h(x)
+    return np.linalg.solve(J, sys.rhs(x, u)), sys.h(x)

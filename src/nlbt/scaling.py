@@ -7,6 +7,8 @@ then produces the forward scaling map, whose coefficients populate sparse
 matrices with one nonzero per state - the column of ``z_i^(k)``.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .kron import PolyMap, compose
@@ -21,19 +23,30 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _toeplitz_index(m, d):
+    """``idx[i, k] = k - i + m - 1``: where ``b_(k-i)`` sits in ``b`` padded by m - 1 zeros."""
+    idx = np.arange(d + 1)[None, :] - np.arange(m)[:, None] + (m - 1)
+    idx.setflags(write=False)
+    return idx
+
+
 def series_product(a, b, d):
     """Cauchy product of two coefficient arrays, truncated at degree ``d``.
 
     Coefficients run along the last axis; leading axes broadcast, so one call
-    multiplies the series of every state at once.
+    multiplies the series of every state at once.  The product is one
+    contraction of ``a`` against the lower-triangular Toeplitz matrix
+    ``B[i, k] = b_(k-i)``, gathered from ``b`` between zero pads; the sum over
+    ``i`` runs in increasing order, as the term-by-term product adds.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (d + 1,))
-    for i in range(min(a.shape[-1], d + 1)):
-        top = min(d - i, b.shape[-1] - 1)
-        out[..., i : i + top + 1] += a[..., i : i + 1] * b[..., : top + 1]
-    return out
+    m = min(a.shape[-1], d + 1)
+    top = min(b.shape[-1], d + 1)
+    bpad = np.zeros(b.shape[:-1] + (m + d,))
+    bpad[..., m - 1 : m - 1 + top] = b[..., :top]
+    return (a[..., :m, None] * bpad[..., _toeplitz_index(m, d)]).sum(axis=-2)
 
 
 def _series_log1p(u, d):
@@ -102,9 +115,11 @@ def series_reversion(a, d):
     a1 = apad[..., 1]
     A = np.zeros_like(apad)
     A[..., 1] = 1.0 / a1
-    for k in range(2, d + 1):
-        acc = sum(A[..., m] * apow[m][..., k] for m in range(1, k))
-        A[..., k] = -acc / (a1 ** k)
+    # acc[k] sums A_m (a^m)_k over the m < k found so far, in increasing m
+    acc = np.zeros_like(apad)
+    for m in range(1, d):
+        acc[..., m + 1 :] += A[..., m : m + 1] * apow[m][..., m + 1 :]
+        A[..., m + 1] = -acc[..., m + 1] / (a1 ** (m + 1))
     return A
 
 

@@ -100,9 +100,10 @@ def system_from_dict(obj):
 
 
 def save_system(sys, path):
+    # one string, one write: json.dump writes every token separately
+    text = json.dumps(system_to_dict(sys), indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(system_to_dict(sys), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_system(path):

@@ -156,16 +156,19 @@ def integrate(
 
     ``rhs(x, u_val)`` is the state derivative; ``u(t)`` the input signal;
     ``output(x)`` the optional output map.  ``t_span`` must be two finite
-    times ``t0 < tf``; anything else raises ``ValueError``.  Divergence
-    (solver failure or non-finite states) is flagged on the trajectory rather
-    than raised, with the samples re-spaced over the reached interval; the
-    overflow on the way there raises no numpy warning.
+    times ``t0 < tf`` and ``n_samples`` at least 2; anything else raises
+    ``ValueError``.  Divergence (solver failure or non-finite states) is
+    flagged on the trajectory rather than raised, with the samples re-spaced
+    over the reached interval; the overflow on the way there raises no numpy
+    warning.
     """
     x0 = np.asarray(x0, dtype=float)
     span = np.asarray(t_span, dtype=float)
     if span.shape != (2,) or not np.all(np.isfinite(span)) or span[1] <= span[0]:
         raise ValueError(f"t_span must be two finite times t0 < tf, got {span.tolist()}")
     t0, tf = float(span[0]), float(span[1])
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
 
     def f(t, x):
         return rhs(x, u(t))

@@ -15,6 +15,7 @@ from nlbt.inod import (
     InodResult,
     _check_contracts,
     _contracts_short,
+    _degree_structure,
     compute_inod_transform,
     linear_balancing,
 )
@@ -171,6 +172,27 @@ class TestInodTransform:
             npt.assert_array_equal(res.transform.term(k), 0)
         npt.assert_array_equal(res.sq_sv.coeffs[:, 0], s ** 2)
         npt.assert_array_equal(res.sq_sv.coeffs[:, 1:], 0)
+
+
+class TestDegreeStructureCache:
+    def test_zoo_small_keys_stay_cached(self):
+        # the (n, k) keys the zoo-small benchmark cycles through: k = 2..d
+        # for each of its five models
+        labels = ("2d-illustrative:7", "pendulum:7", "3d-illustrative-exact:3",
+                  "beam:2", "double-pendulum:3")
+        keys = []
+        for label in labels:
+            name, _, d = label.partition(":")
+            n = models.by_name(name, int(d)).n
+            keys += [(n, k) for k in range(2, int(d) + 1)]
+        assert len(set(keys)) == 11
+        _degree_structure.cache_clear()
+        for key in keys:
+            _degree_structure(*key)
+        misses = _degree_structure.cache_info().misses
+        for key in keys:
+            _degree_structure(*key)
+        assert _degree_structure.cache_info().misses == misses
 
 
 class TestContractCheck:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -53,6 +54,17 @@ class TestKpsFormat:
         for x in 0.5 * rng.standard_normal((4, 2)):
             want = f.terms[1] @ x + raw[2] @ np.kron(x, x) + raw[3] @ np.kron(x, np.kron(x, x))
             npt.assert_allclose(f(x), want, rtol=1e-14, atol=1e-15)
+
+    def test_file_bytes_match_json_dump_encoding(self, tmp_path):
+        # one string written at once: the same bytes json.dump streams in
+        # chunks, checked on a zoo ROM
+        rom = balance(models.pendulum(7), 7).reduce(1)
+        path = tmp_path / "rom.json"
+        save_system(rom.sys, path)
+        ref = io.StringIO()
+        json.dump(system_to_dict(rom.sys), ref, indent=1)
+        ref.write("\n")
+        assert path.read_bytes() == ref.getvalue().encode()
 
     def test_dict_round_trip(self):
         sys = models.beam_single_element()
@@ -310,6 +322,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "parse_error"
         assert err["reason"].startswith("t_span must be two finite times t0 < tf")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_simulate_too_few_samples_is_parse_error(self, samples, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main([
+            "simulate", "model:pendulum:3", "--x0", "0.1,0", "--tspan", "0,1",
+            "--samples", samples, "--out", str(out),
+        ]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse_error"
+        assert err["reason"] == f"n_samples must be at least 2, got {samples}"
         assert not out.exists()
 
     def test_bench_time_monotone(self, tmp_path):

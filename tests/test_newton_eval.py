@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as P
 import numpy.testing as npt
 import pytest
 
@@ -20,6 +21,11 @@ from nlbt.pipeline import balance
 @pytest.fixture(scope="module")
 def pendulum_pipeline():
     return balance(models.pendulum(5), 3)
+
+
+@pytest.fixture(scope="module")
+def pendulum7():
+    return balance(models.pendulum(7), 7)
 
 
 class TestScalingEvaluation:
@@ -48,6 +54,63 @@ class TestScalingEvaluation:
             return eval_inverse_scaling(pl.sq_sv, z) - series_val
 
         assert ray_slope(resid, 2, seed=0) >= d + 0.5
+
+
+class TestFusedSigmaPass:
+    @pytest.fixture
+    def sq_sv(self):
+        rng = np.random.default_rng(7)
+        c = 0.5 * rng.standard_normal((3, 6))
+        c[:, 0] = 1.0 + rng.random(3)
+        return SqSingularValueFns(c)
+
+    def oracle(self, sq_sv, z):
+        c = sq_sv.coeffs
+        z = np.atleast_2d(z)
+        val = np.stack([P.polyval(z[:, i], c[i]) for i in range(c.shape[0])], axis=-1)
+        der = np.stack(
+            [P.polyval(z[:, i], P.polyder(c[i])) for i in range(c.shape[0])], axis=-1
+        )
+        return val, der
+
+    def test_point_matches_polyval(self, sq_sv):
+        z = np.array([0.3, -0.7, 1.1])
+        val, der = sq_sv.value_and_derivative(z)
+        want_val, want_der = self.oracle(sq_sv, z)
+        assert val.shape == der.shape == (3,)
+        npt.assert_allclose(val, want_val[0], rtol=1e-14, atol=1e-15)
+        npt.assert_allclose(der, want_der[0], rtol=1e-14, atol=1e-15)
+
+    def test_batch_matches_polyval(self, sq_sv):
+        Z = np.random.default_rng(8).uniform(-1, 1, (5, 3))
+        val, der = sq_sv.value_and_derivative(Z)
+        want_val, want_der = self.oracle(sq_sv, Z)
+        assert val.shape == der.shape == (5, 3)
+        npt.assert_allclose(val, want_val, rtol=1e-14, atol=1e-15)
+        npt.assert_allclose(der, want_der, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_low_degrees(self, d):
+        c = np.arange(1.0, 2 * (d + 1) + 1).reshape(2, d + 1)
+        sq_sv = SqSingularValueFns(c)
+        for z in (np.array([0.4, -0.3]), np.array([[0.4, -0.3], [1.5, 2.0]])):
+            val, der = sq_sv.value_and_derivative(z)
+            want_val, want_der = self.oracle(sq_sv, z)
+            assert val.shape == der.shape == z.shape
+            npt.assert_allclose(val, want_val.reshape(z.shape), rtol=1e-15)
+            npt.assert_allclose(der, want_der.reshape(z.shape), rtol=1e-15)
+
+    def test_scalar_is_taken_by_every_state(self, sq_sv):
+        val, der = sq_sv.value_and_derivative(0.4)
+        want_val, want_der = sq_sv.value_and_derivative(np.full(3, 0.4))
+        npt.assert_array_equal(val, want_val)
+        npt.assert_array_equal(der, want_der)
+
+    def test_value_and_derivative_are_its_parts(self, sq_sv):
+        z = np.array([0.2, 0.5, -0.9])
+        val, der = sq_sv.value_and_derivative(z)
+        npt.assert_array_equal(sq_sv.value(z), val)
+        npt.assert_array_equal(sq_sv.derivative(z), der)
 
 
 class TestNewtonScaling:
@@ -160,15 +223,44 @@ class TestBalancedRhs:
 
     def test_singular_scaling_jacobian_reported(self, pendulum_pipeline, monkeypatch):
         # zbar = 0 solves the scaling at the initial guess, so only the lift
-        # reads the patched diagonal
-        import nlbt.newton_eval as ne
-
+        # reads the diagonal; at z = 0 it is (sigma^2)**(1/4), here (1, 1e-16),
+        # whose second entry is numerically zero
         monkeypatch.setattr(
-            ne, "_inverse_scaling_jacobian_diag", lambda sq_sv, z: np.array([1.0, 0.0])
+            SqSingularValueFns,
+            "value_and_derivative",
+            lambda self, z: (np.array([1.0, 1e-64]), np.zeros(2)),
         )
         pl = pendulum_pipeline
-        with pytest.raises(NewtonDivergence):
+        with pytest.raises(NewtonDivergence, match="singular scaling Jacobian"):
             eval_balanced_rhs_newton(pl.sys, pl.inod, np.zeros(2), np.zeros(1))
+
+    @pytest.mark.parametrize("radius", [0.02, 0.01])
+    def test_one_sigma_pass_per_newton_iterate(self, radius, pendulum7, monkeypatch):
+        # pendulum:7 at the radii of the zoo-small benchmark's Newton points:
+        # one sigma^2 pass seeds the scaling solve, each iterate costs one
+        # more, and the lift reuses the converged iterate's pass
+        pl = pendulum7
+        zbar = radius * np.array([0.6, -0.8])
+        passes = []
+        fused = SqSingularValueFns.value_and_derivative
+
+        def counted(self, z):
+            passes.append(np.array(z, dtype=float))
+            return fused(self, z)
+
+        monkeypatch.setattr(SqSingularValueFns, "value_and_derivative", counted)
+        eval_balanced_rhs_newton(pl.sys, pl.inod, zbar, np.array([0.1]), tol=1e-13)
+        npt.assert_array_equal(passes[0], zbar)
+        iterates = passes[1:]
+        resid = [
+            np.max(np.abs(z * fused(pl.sq_sv, z)[0] ** 0.25 - zbar)) for z in iterates
+        ]
+        # each iterate is evaluated once, the iteration stops at the first
+        # one within tol, and no point after it is evaluated
+        assert len(iterates) >= 2
+        assert len({z.tobytes() for z in iterates}) == len(iterates)
+        assert all(r > 1e-13 for r in resid[:-1])
+        assert resid[-1] <= 1e-13
 
     def test_linear_system_exact(self):
         import scipy.linalg as la

@@ -55,6 +55,43 @@ class TestInverseScalingSeries:
             inverse_scaling_series([0.0, 1.0], 3)
 
 
+class TestSeriesProduct:
+    @staticmethod
+    def oracle(a, b, d):
+        """Per-state truncated ``np.convolve``, zero-filled up to degree d."""
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        a = np.broadcast_to(a, lead + a.shape[-1:]).reshape(-1, a.shape[-1])
+        b = np.broadcast_to(b, lead + b.shape[-1:]).reshape(-1, b.shape[-1])
+        out = np.zeros((a.shape[0], d + 1))
+        for i, (ai, bi) in enumerate(zip(a, b)):
+            full = np.convolve(ai, bi)[: d + 1]
+            out[i, : full.size] = full
+        return out.reshape(lead + (d + 1,))
+
+    @pytest.mark.parametrize("la, lb", [(3, 3), (2, 5), (6, 1), (1, 4)])
+    @pytest.mark.parametrize("d", [0, 2, 4, 9])
+    def test_matches_truncated_convolution(self, la, lb, d):
+        rng = np.random.default_rng(10 * la + lb + 100 * d)
+        a = rng.standard_normal(la)
+        b = rng.standard_normal(lb)
+        got = series_product(a, b, d)
+        assert got.shape == (d + 1,)
+        npt.assert_allclose(got, self.oracle(a, b, d), rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape", [((3, 4), (3, 2)), ((4,), (3, 5)), ((2, 1, 3), (4, 6))]
+    )
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_broadcast_leading_axes(self, a_shape, b_shape, d):
+        rng = np.random.default_rng(len(a_shape) + d)
+        a = rng.standard_normal(a_shape)
+        b = rng.standard_normal(b_shape)
+        got = series_product(a, b, d)
+        want = self.oracle(a, b, d)
+        assert got.shape == want.shape
+        npt.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+
 class TestSeriesReversion:
     def test_identity(self):
         A = series_reversion([0.0, 1.0], 5)

@@ -71,6 +71,18 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="t_span must be two finite times"):
             integrate(lambda x, u: -x, np.array([1.0]), zero_signal(), t_span)
 
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    def test_rejects_fewer_than_two_samples(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            integrate(lambda x, u: -x, np.array([1.0]), zero_signal(), (0, 1),
+                      n_samples=n_samples)
+
+    def test_two_samples_are_the_endpoints(self):
+        traj = integrate(lambda x, u: -x, np.array([1.0]), zero_signal(), (0, 1),
+                         n_samples=2)
+        npt.assert_array_equal(traj.t, [0.0, 1.0])
+        npt.assert_allclose(traj.x[:, 0], [1.0, np.exp(-1.0)], rtol=1e-7)
+
     def test_balanced_coordinates_reproduce_full_model(self):
         # simulate the full balanced realization and map back through the
         # transformation: outputs match the original model
