@@ -35,7 +35,14 @@ from .realization import (
     inverse_transform_coeffs,
     truncate_transform,
 )
-from .serialization import load_system, save_system
+from .serialization import (
+    load_balance,
+    load_rom,
+    load_system,
+    save_balance,
+    save_rom,
+    save_system,
+)
 from .sim import Trajectory, integrate, l2_error, signal, simulate_system
 
 __version__ = "0.1.0"
@@ -65,8 +72,12 @@ __all__ = [
     "inverse_transform_coeffs",
     "l2_error",
     "linear_balancing",
+    "load_balance",
+    "load_rom",
     "load_system",
     "polymap_from_monomials",
+    "save_balance",
+    "save_rom",
     "save_system",
     "signal",
     "simulate_system",

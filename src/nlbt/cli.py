@@ -16,19 +16,16 @@ import numpy as np
 from . import models
 from .bench import loglog_slope, run_bench
 from .errors import ContractViolation, HypothesisViolation, ResonanceError, ResourceRefusal
-from .kron import PolyMap
 from .pipeline import balance
-from .realization import BalancingTransform, ReducedOrderModel, build_rom
+from .realization import build_rom
 from .serialization import (
     FormatError,
-    _decode_matrix,
-    _encode_matrix,
+    load_balance,
+    load_rom,
     load_system,
-    polymap_from_dict,
-    polymap_to_dict,
+    save_balance,
+    save_rom,
     save_system,
-    system_from_dict,
-    system_to_dict,
 )
 from .sim import l2_error, signal, simulate_system
 
@@ -37,10 +34,6 @@ EXIT_HYPOTHESIS = 2
 EXIT_PARSE = 3
 EXIT_RESOURCE = 4
 EXIT_CONTRACT = 5
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _load_model_or_file(args):
@@ -73,23 +66,7 @@ def cmd_export(args):
 def cmd_balance(args):
     sys_obj = _load_model_or_file(args)
     pl = balance(sys_obj, args.degree)
-    artifact = {
-        "version": "nlbt-balance-1",
-        "d_transf": pl.d_transf,
-        "system": system_to_dict(sys_obj),
-        "hankel": [_fmt(v) for v in pl.hankel],
-        "sigma_condition": _fmt(pl.sigma_condition),
-        "sq_sv": [[_fmt(v) for v in row] for row in pl.sq_sv.coeffs],
-        "energies": {
-            "controllability": {str(k): [_fmt(v) for v in vec] for k, vec in pl.Ec.coeffs.items()},
-            "observability": {str(k): [_fmt(v) for v in vec] for k, vec in pl.Eo.coeffs.items()},
-        },
-        "Tbar": polymap_to_dict(pl.Tbar),
-        "Tbar1_inv": _encode_matrix(pl.Tbar1_inv),
-    }
-    with open(args.out, "w") as fh:
-        json.dump(artifact, fh, indent=1)
-        fh.write("\n")
+    save_balance(pl, args.out)
     print(
         f"balanced {args.model or args.file}: degree {pl.d_transf}, "
         f"hankel {np.array2string(pl.hankel, precision=4)}, "
@@ -98,61 +75,14 @@ def cmd_balance(args):
     return EXIT_OK
 
 
-def _load_artifact(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("version") != "nlbt-balance-1":
-        raise FormatError("not an nlbt-balance-1 artifact")
-    return obj
-
-
 def cmd_reduce(args):
-    art = _load_artifact(args.artifact)
-    sys_obj = system_from_dict(art["system"])
-    n = sys_obj.n
-    balancing = BalancingTransform(
-        sys_obj,
-        polymap_from_dict(art["Tbar"]),
-        _decode_matrix(art["Tbar1_inv"], (n, n)),
-        np.array([float(v) for v in art["hankel"]]),
-    )
-    d_rom = args.rom_degree or int(art["d_transf"])
+    balancing = load_balance(args.artifact)
+    d_rom = balancing.d_transf if args.rom_degree is None else args.rom_degree
     x0 = _parse_vector(args.x0) if args.x0 else None
     rom = build_rom(balancing, args.r, d_rom, x0=x0)
-    out = {
-        "version": "nlbt-rom-1",
-        "r": rom.r,
-        "d_rom": d_rom,
-        "rom": system_to_dict(rom.sys),
-        "transform": polymap_to_dict(rom.T_r),
-        "inverse_transform": polymap_to_dict(rom.P),
-        "x_r0": [_fmt(v) for v in rom.x_r0],
-        "hankel": [_fmt(v) for v in rom.hankel],
-    }
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=1)
-        fh.write("\n")
+    save_rom(rom, args.out)
     print(f"reduced to r={rom.r}, degree {d_rom}; wrote {args.out}")
     return EXIT_OK
-
-
-def _load_rom(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("version") != "nlbt-rom-1":
-        raise FormatError("not an nlbt-rom-1 document")
-    r = int(obj["r"])
-    P = polymap_from_dict(obj["inverse_transform"])
-    if P.rows > r:  # documents that stored all n rows of the series inverse
-        P = PolyMap({k: W[:r] for k, W in P.terms.items()}, P.base_dim, rows=r)
-    return ReducedOrderModel(
-        r,
-        system_from_dict(obj["rom"]),
-        polymap_from_dict(obj["transform"]),
-        P,
-        np.array([float(v) for v in obj["x_r0"]]),
-        np.array([float(v) for v in obj["hankel"]]),
-    )
 
 
 def _resolve_simulatable(spec):
@@ -163,7 +93,7 @@ def _resolve_simulatable(spec):
     if kind == "file":
         return load_system(rest), None
     if kind == "rom":
-        rom = _load_rom(rest)
+        rom = load_rom(rest)
         return rom.sys, rom
     raise FormatError(f"unknown source spec {spec!r} (use model:, file:, or rom:)")
 

@@ -60,13 +60,6 @@ class EnergyFunction:
         # PolyMap copies, checks each length and makes each degree symmetric
         self._doubled = PolyMap({k: np.reshape(v, (1, -1)) for k, v in coeffs.items()}, n, 1)
 
-    @classmethod
-    def _adopt(cls, n, coeffs):
-        """Wrap fresh coefficient vectors, symmetric by construction, without copying."""
-        self = cls.__new__(cls)
-        self._doubled = PolyMap._adopt({k: v[None, :] for k, v in coeffs.items()}, n, 1)
-        return self
-
     @property
     def n(self):
         return self._doubled.base_dim
@@ -322,7 +315,7 @@ def _energy_series(sys, fac, v2, rho, d):
                 b += (parts[s].T @ parts[k - s]).ravel()
         b = symmetrize_columns(b[None, :], n, k).ravel()
         v[k] = solve_kway_transposed(fac, k, -b)
-    return EnergyFunction._adopt(n, v)
+    return EnergyFunction(n, v)
 
 
 def solve_observability_energy(sys, d):

@@ -219,8 +219,8 @@ class _Compact:
         hi = max(b[2] for b in blocks)
         start = [_monomial_start(n, k) for k in range(hi + 2)]
         if rows * (start[hi + 1] - start[lo]) <= 2 * sum(b[3].size for b in blocks):
-            if len(blocks) == 1:  # one run of one map: nothing to pad, no copy
-                C = blocks[0][3]
+            if len(blocks) == 1 and blocks[0][3].shape[0] == rows:
+                C = blocks[0][3]  # one run of a map holding every row: no pad, no copy
             else:
                 C = np.zeros((rows, start[hi + 1] - start[lo]))
                 for i, a, b, Ci in blocks:
@@ -323,10 +323,7 @@ def mat_times_kron(M, factors):
         # contract the leading factor axis and append its image as the
         # trailing one, so the factors are consumed in order
         b = B.shape[0]
-        if r == 1:
-            out = out.reshape(b, -1).T @ B
-        else:
-            out = out.reshape(r, b, -1).swapaxes(1, 2).reshape(-1, b) @ B
+        out = out.reshape(r, b, -1).swapaxes(1, 2).reshape(-1, b) @ B
     return out.reshape(r, -1)
 
 

@@ -22,10 +22,7 @@ class BalancedPipeline(BalancingTransform):
     """
 
     def __init__(self, sys, d_transf, Ec, Eo, inod, scaling_map, Tbar, Tbar1_inv):
-        super().__init__(sys, Tbar, Tbar1_inv, inod.hankel)
-        self.d_transf = d_transf
-        self.Ec = Ec
-        self.Eo = Eo
+        super().__init__(sys, d_transf, inod.hankel, inod.sq_sv, Ec, Eo, Tbar, Tbar1_inv)
         self.inod = inod
         self.scaling_map = scaling_map
 
@@ -33,10 +30,6 @@ class BalancedPipeline(BalancingTransform):
     def P(self):
         """Series inverse of ``Tbar`` to degree ``d_transf``: ``P(Tbar(z)) = z + O(|z|^(d+1))``."""
         return inverse_transform_coeffs(self.Tbar, self.Tbar1_inv, self.d_transf)
-
-    @property
-    def sq_sv(self):
-        return self.inod.sq_sv
 
     def realize(self, d_rom=None, g_degree=None):
         """Full balanced realization: the order-n :class:`~nlbt.realization.ReducedOrderModel`.

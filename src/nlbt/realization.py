@@ -200,19 +200,27 @@ def truncate_transform(Tbar, r):
 
 
 class BalancingTransform:
-    """A full-order system with its balancing transformation.
+    """A full-order system with its balancing transformation: what a balancing run keeps.
 
-    Everything :func:`build_rom` reads: the system ``sys``, the transform
-    ``Tbar``, the inverse ``Tbar1_inv`` of its linear coefficient and the
-    Hankel values.  A balancing run, :class:`~nlbt.pipeline.BalancedPipeline`,
-    is one of these; ``nlbt reduce`` builds one from a saved artifact.
+    :func:`build_rom` reads the system ``sys``, the transform ``Tbar``, the
+    inverse ``Tbar1_inv`` of its linear coefficient and the Hankel values.
+    The ``nlbt-balance-1`` artifact also keeps the transform degree
+    ``d_transf``, the σ² series ``sq_sv`` (a
+    :class:`~nlbt.inod.SqSingularValueFns`) and both energies ``Ec`` and
+    ``Eo``.  A balancing run, :class:`~nlbt.pipeline.BalancedPipeline`, is one
+    of these; :func:`nlbt.serialization.load_balance` reads one from an
+    artifact.
     """
 
-    def __init__(self, sys, Tbar, Tbar1_inv, hankel):
+    def __init__(self, sys, d_transf, hankel, sq_sv, Ec, Eo, Tbar, Tbar1_inv):
         self.sys = sys
+        self.d_transf = d_transf
+        self.hankel = np.asarray(hankel, dtype=float)
+        self.sq_sv = sq_sv
+        self.Ec = Ec
+        self.Eo = Eo
         self.Tbar = Tbar
         self.Tbar1_inv = np.asarray(Tbar1_inv, dtype=float)
-        self.hankel = np.asarray(hankel, dtype=float)
 
     @property
     def sigma_condition(self):
@@ -223,13 +231,15 @@ class BalancingTransform:
 class ReducedOrderModel:
     """Order-r truncation of a balanced realization.
 
-    ``sys`` is the reduced control-affine system, ``T_r`` maps reduced states
-    back to the full-order state space, and ``P`` (the leading ``r`` rows of
-    the series inverse) maps full-order states to reduced initial conditions.
+    ``sys`` is the reduced control-affine system of degree ``d_rom``, ``T_r``
+    maps reduced states back to the full-order state space, and ``P`` (the
+    leading ``r`` rows of the series inverse) maps full-order states to
+    reduced initial conditions.
     """
 
-    def __init__(self, r, sys, T_r, P, x_r0, hankel):
+    def __init__(self, r, d_rom, sys, T_r, P, x_r0, hankel):
         self.r = r
+        self.d_rom = d_rom
         self.sys = sys
         self.T_r = T_r
         self.P = P
@@ -268,6 +278,8 @@ def build_rom(balancing, r, d_rom, x0=None, g_degree=None):
     n = sys.n
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}")
+    if d_rom < 1:
+        raise ValueError(f"ROM degree must be at least 1, got {d_rom}")
     Tbar, Tbar1_inv = balancing.Tbar, balancing.Tbar1_inv
     dg = d_rom - 1 if g_degree is None else g_degree
     f_r = _leading_rows(balanced_drift(sys.f, Tbar, Tbar1_inv, d_rom, r), r)
@@ -279,4 +291,4 @@ def build_rom(balancing, r, d_rom, x0=None, g_degree=None):
     P_r = inverse_transform_coeffs(Tbar, Tbar1_inv, Tbar.degree, r)
     x_r0 = P_r(np.asarray(x0, dtype=float)) if x0 is not None else np.zeros(r)
     rom_sys = ControlAffineSystem(f_r, g_r, h_r)
-    return ReducedOrderModel(r, rom_sys, T_r, P_r, x_r0, balancing.hankel)
+    return ReducedOrderModel(r, d_rom, rom_sys, T_r, P_r, x_r0, balancing.hankel)

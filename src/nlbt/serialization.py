@@ -1,18 +1,43 @@
-"""``kps-1`` file format: JSON interchange for Kronecker polynomial systems.
+"""The JSON documents of nlbt, all through one matrix and polymap codec.
 
 Coefficient matrices are stored dense, row-major, under the canonical
 Kronecker column ordering.  Floats are written as decimal strings with 17
-significant digits, which round-trip IEEE doubles bit-exactly.  The same
-matrix and polymap codec serves the CLI's balance and ROM documents, where a
-standalone polymap carries its ``base_dim`` and ``rows``
-(:func:`polymap_to_dict`).
+significant digits, which round-trip IEEE doubles bit-exactly.  A vector is
+one row of such a matrix, and a standalone polymap carries its ``base_dim``
+and ``rows`` (:func:`polymap_to_dict`).  Every writer writes its document as
+one string, ``json.dumps(doc, indent=1)`` and a newline.  The documents:
+
+- ``kps-1`` (:func:`save_system`, :func:`load_system`): a Kronecker
+  polynomial system, with ``n``, ``m``, ``p``, ``degree`` and the blocks of
+  ``f``, of each input column ``g`` and of ``h``.
+- ``nlbt-balance-1`` (:func:`save_balance`, :func:`load_balance`): what
+  ``nlbt balance`` writes, a :class:`~nlbt.realization.BalancingTransform`:
+  ``d_transf``, the ``system`` as ``kps-1``, ``hankel``, ``sigma_condition``,
+  the σ² series ``sq_sv``, both ``energies``, ``Tbar`` and ``Tbar1_inv``.
+  Artifacts written while the series inverse was stored also carry ``P``,
+  which is not read.
+- ``nlbt-rom-1`` (:func:`save_rom`, :func:`load_rom`): what ``nlbt reduce``
+  writes, a :class:`~nlbt.realization.ReducedOrderModel`: ``r``, ``d_rom``,
+  the ROM as ``kps-1`` (``rom``), its manifold map ``transform``, the r
+  leading rows of the series inverse (``inverse_transform``; a document that
+  holds all n rows loads to its first r), ``x_r0`` and ``hankel``.
+
+Every reader checks that the document is an object of its version and that
+every block has its shape, and raises :class:`FormatError` otherwise.  The
+balance and ROM readers also check that every field is present and decodes
+and that every shape agrees with the system's n or the ROM's r; their
+messages name the document and the field.
 """
 
 import json
 
 import numpy as np
 
+from .energy import EnergyFunction
+from .errors import HypothesisViolation
+from .inod import SqSingularValueFns
 from .kron import ControlAffineSystem, PolyMap
+from .realization import BalancingTransform, ReducedOrderModel
 
 __all__ = [
     "system_to_dict",
@@ -21,14 +46,24 @@ __all__ = [
     "polymap_from_dict",
     "save_system",
     "load_system",
+    "balance_to_dict",
+    "balance_from_dict",
+    "save_balance",
+    "load_balance",
+    "rom_to_dict",
+    "rom_from_dict",
+    "save_rom",
+    "load_rom",
     "FormatError",
 ]
 
 FORMAT_VERSION = "kps-1"
+BALANCE_VERSION = "nlbt-balance-1"
+ROM_VERSION = "nlbt-rom-1"
 
 
 class FormatError(ValueError):
-    """Malformed or unsupported kps file content."""
+    """Malformed or unsupported document content."""
 
 
 def _encode_matrix(W):
@@ -40,6 +75,17 @@ def _decode_matrix(rows, shape):
     if W.shape != shape:
         raise FormatError(f"coefficient block has shape {W.shape}, expected {shape}")
     return W
+
+
+def _encode_vector(v):
+    return _encode_matrix(v)[0]
+
+
+def _decode_vector(items, length):
+    if not isinstance(items, list) or len(items) != length:
+        got = len(items) if isinstance(items, list) else type(items).__name__
+        raise FormatError(f"expected a list of {length} entries, got {got}")
+    return _decode_matrix([items], (1, length))[0]
 
 
 def _encode_polymap(pm):
@@ -99,20 +145,173 @@ def system_from_dict(obj):
     return ControlAffineSystem(f, g, h)
 
 
-def save_system(sys, path):
+def _write(doc, path):
     # one string, one write: json.dump writes every token separately
-    text = json.dumps(system_to_dict(sys), indent=1) + "\n"
+    text = json.dumps(doc, indent=1) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def load_system(path):
+def _read(path):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
-    return system_from_dict(obj)
+
+
+def save_system(sys, path):
+    _write(system_to_dict(sys), path)
+
+
+def load_system(path):
+    return system_from_dict(_read(path))
+
+
+def _check_version(obj, version):
+    if not isinstance(obj, dict):
+        got = type(obj).__name__
+        raise FormatError(f"not an {version} document: expected an object, got {got}")
+    if obj.get("version") != version:
+        got = obj.get("version")
+        raise FormatError(f"not an {version} document: field 'version' is {got!r}")
+
+
+def _field(doc, obj, key, decode, *args):
+    """``decode(obj[key], *args)``; a missing or malformed field raises
+    :class:`FormatError` naming the document ``doc`` and the field."""
+    if key not in obj:
+        raise FormatError(f"{doc} document: missing field {key!r}")
+    try:
+        return decode(obj[key], *args)
+    except (AttributeError, KeyError, TypeError, ValueError, HypothesisViolation) as exc:
+        reason = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise FormatError(f"{doc} document: field {key!r}: {reason}") from exc
+
+
+def _decode_degree(v):
+    if not isinstance(v, int) or v < 1:
+        raise FormatError(f"{v!r} is not a positive integer")
+    return v
+
+
+def _decode_system(obj, n):
+    sys = system_from_dict(obj)
+    if sys.n != n:
+        raise FormatError(f"system has n = {sys.n}, expected {n}")
+    return sys
+
+
+def _decode_map(obj, base_dim, min_rows, rows=None):
+    pm = polymap_from_dict(obj)
+    if pm.base_dim != base_dim:
+        raise FormatError(f"base_dim is {pm.base_dim}, expected {base_dim}")
+    if pm.rows < min_rows or rows is not None and pm.rows != rows:
+        want = rows if rows is not None else f"at least {min_rows}"
+        raise FormatError(f"has {pm.rows} rows, expected {want}")
+    return pm
+
+
+def _encode_energy(E):
+    return {str(k): _encode_vector(v) for k, v in E.coeffs.items()}
+
+
+def _decode_energies(obj, n):
+    """Both energies, each stored as its degree-k coefficient vectors."""
+    return [
+        EnergyFunction(n, {int(k): _decode_vector(v, n ** int(k)) for k, v in obj[name].items()})
+        for name in ("controllability", "observability")
+    ]
+
+
+def _decode_sq_sv(rows, n, d_transf):
+    return SqSingularValueFns(_decode_matrix(rows, (n, d_transf)))
+
+
+def balance_to_dict(balancing):
+    """The ``nlbt-balance-1`` artifact of a :class:`~nlbt.realization.BalancingTransform`."""
+    return {
+        "version": BALANCE_VERSION,
+        "d_transf": balancing.d_transf,
+        "system": system_to_dict(balancing.sys),
+        "hankel": _encode_vector(balancing.hankel),
+        "sigma_condition": _encode_vector(balancing.sigma_condition)[0],
+        "sq_sv": _encode_matrix(balancing.sq_sv.coeffs),
+        "energies": {
+            "controllability": _encode_energy(balancing.Ec),
+            "observability": _encode_energy(balancing.Eo),
+        },
+        "Tbar": polymap_to_dict(balancing.Tbar),
+        "Tbar1_inv": _encode_matrix(balancing.Tbar1_inv),
+    }
+
+
+def balance_from_dict(obj):
+    """Inverse of :func:`balance_to_dict`; see the module docstring for its checks."""
+    _check_version(obj, BALANCE_VERSION)
+    doc = BALANCE_VERSION
+    d_transf = _field(doc, obj, "d_transf", _decode_degree)
+    sys = _field(doc, obj, "system", system_from_dict)
+    n = sys.n
+    hankel = _field(doc, obj, "hankel", _decode_vector, n)
+    _field(doc, obj, "sigma_condition", float)  # derived from hankel
+    sq_sv = _field(doc, obj, "sq_sv", _decode_sq_sv, n, d_transf)
+    Ec, Eo = _field(doc, obj, "energies", _decode_energies, n)
+    Tbar = _field(doc, obj, "Tbar", _decode_map, n, n, n)
+    Tbar1_inv = _field(doc, obj, "Tbar1_inv", _decode_matrix, (n, n))
+    return BalancingTransform(sys, d_transf, hankel, sq_sv, Ec, Eo, Tbar, Tbar1_inv)
+
+
+def save_balance(balancing, path):
+    _write(balance_to_dict(balancing), path)
+
+
+def load_balance(path):
+    return balance_from_dict(_read(path))
+
+
+def rom_to_dict(rom):
+    """The ``nlbt-rom-1`` document of a :class:`~nlbt.realization.ReducedOrderModel`."""
+    return {
+        "version": ROM_VERSION,
+        "r": rom.r,
+        "d_rom": rom.d_rom,
+        "rom": system_to_dict(rom.sys),
+        "transform": polymap_to_dict(rom.T_r),
+        "inverse_transform": polymap_to_dict(rom.P),
+        "x_r0": _encode_vector(rom.x_r0),
+        "hankel": _encode_vector(rom.hankel),
+    }
+
+
+def _leading_rows(pm, r):
+    if pm.rows == r:
+        return pm
+    # documents that stored all n rows of the series inverse
+    return PolyMap({k: W[:r] for k, W in pm.terms.items()}, pm.base_dim, rows=r)
+
+
+def rom_from_dict(obj):
+    """Inverse of :func:`rom_to_dict`; see the module docstring for its checks."""
+    _check_version(obj, ROM_VERSION)
+    doc = ROM_VERSION
+    r = _field(doc, obj, "r", _decode_degree)
+    d_rom = _field(doc, obj, "d_rom", _decode_degree)
+    sys = _field(doc, obj, "rom", _decode_system, r)
+    T_r = _field(doc, obj, "transform", _decode_map, r, r)
+    n = T_r.rows
+    P = _leading_rows(_field(doc, obj, "inverse_transform", _decode_map, n, r), r)
+    x_r0 = _field(doc, obj, "x_r0", _decode_vector, r)
+    hankel = _field(doc, obj, "hankel", _decode_vector, n)
+    return ReducedOrderModel(r, d_rom, sys, T_r, P, x_r0, hankel)
+
+
+def save_rom(rom, path):
+    _write(rom_to_dict(rom), path)
+
+
+def load_rom(path):
+    return rom_from_dict(_read(path))
 
 
 def systems_equal(a, b):

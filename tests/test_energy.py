@@ -8,6 +8,7 @@ import scipy.linalg as la
 from conftest import ray_slope
 from nlbt import models
 from nlbt.energy import (
+    EnergyFunction,
     SchurFactor,
     hjb_residual,
     solve_controllability_energy,
@@ -260,6 +261,23 @@ class TestResidual:
         so = ray_slope(lambda x: hjb_residual(Eo, sys, x, "observability"), 2, seed=d + 10)
         assert sc >= d + 0.5
         assert so >= d + 0.5
+
+
+class TestOneConstructor:
+    @pytest.mark.parametrize(
+        "make, d",
+        [(models.beam_single_element, 3), (lambda: models.pendulum(5), 4)],
+        ids=["beam", "pendulum-5"],
+    )
+    def test_coefficients_rebuild_the_same_energy(self, make, d):
+        # the solved energy stores its canonical representative, so its own
+        # coefficients rebuild it bit for bit
+        sys = make()
+        for E in (solve_controllability_energy(sys, d), solve_observability_energy(sys, d)):
+            again = EnergyFunction(sys.n, E.coeffs)
+            assert set(again.coeffs) == set(E.coeffs)
+            for k, v in E.coeffs.items():
+                npt.assert_array_equal(again.coeffs[k], v)
 
 
 class TestSymmetryInvariance:

@@ -6,15 +6,21 @@ import numpy.testing as npt
 import pytest
 
 from nlbt import models
-from nlbt.cli import _load_rom, main
+from nlbt.cli import main
 from nlbt.errors import ContractViolation
 from nlbt.kron import PolyMap, symmetrize_columns
 from nlbt.pipeline import balance
 from nlbt.serialization import (
     FormatError,
+    balance_to_dict,
+    load_balance,
+    load_rom,
     load_system,
     polymap_from_dict,
     polymap_to_dict,
+    rom_to_dict,
+    save_balance,
+    save_rom,
     save_system,
     system_from_dict,
     system_to_dict,
@@ -121,6 +127,173 @@ class TestPolymapCodec:
             polymap_from_dict(obj)
 
 
+def maps_equal(a, b):
+    if (a.base_dim, a.rows) != (b.base_dim, b.rows) or set(a.terms) != set(b.terms):
+        return False
+    return all(np.array_equal(a.terms[k], W) for k, W in b.terms.items())
+
+
+def energies_equal(a, b):
+    return set(a.coeffs) == set(b.coeffs) and all(
+        np.array_equal(a.coeffs[k], v) for k, v in b.coeffs.items()
+    )
+
+
+@pytest.fixture(scope="module")
+def pendulum_run():
+    pl = balance(models.pendulum(3), 3)
+    return pl, pl.reduce(1, x0=[0.1, 0.05])
+
+
+class TestDocuments:
+    @pytest.mark.parametrize("name", ["pendulum:3", "double-pendulum:3"])
+    def test_balance_round_trip_bit_exact(self, name, tmp_path):
+        pl = balance(models.by_name(name), 3)
+        path = tmp_path / "art.json"
+        save_balance(pl, path)
+        text = path.read_text()
+        assert text == json.dumps(balance_to_dict(pl), indent=1) + "\n"
+        back = load_balance(path)
+        assert systems_equal(back.sys, pl.sys) and back.d_transf == pl.d_transf
+        npt.assert_array_equal(back.hankel, pl.hankel)
+        npt.assert_array_equal(back.sq_sv.coeffs, pl.sq_sv.coeffs)
+        assert energies_equal(back.Ec, pl.Ec) and energies_equal(back.Eo, pl.Eo)
+        assert maps_equal(back.Tbar, pl.Tbar)
+        npt.assert_array_equal(back.Tbar1_inv, pl.Tbar1_inv)
+        save_balance(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == text
+
+    @pytest.mark.parametrize("name,r", [("pendulum:3", 1), ("double-pendulum:3", 2)])
+    def test_rom_round_trip_bit_exact(self, name, r, tmp_path):
+        sys = models.by_name(name)
+        rom = balance(sys, 3).reduce(r, x0=np.full(sys.n, 0.1))
+        path = tmp_path / "rom.json"
+        save_rom(rom, path)
+        text = path.read_text()
+        assert text == json.dumps(rom_to_dict(rom), indent=1) + "\n"
+        back = load_rom(path)
+        assert (back.r, back.d_rom) == (rom.r, rom.d_rom)
+        assert systems_equal(back.sys, rom.sys)
+        assert maps_equal(back.T_r, rom.T_r) and maps_equal(back.P, rom.P)
+        npt.assert_array_equal(back.x_r0, rom.x_r0)
+        npt.assert_array_equal(back.hankel, rom.hankel)
+        save_rom(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == text
+
+    def test_artifact_carrying_p_loads_to_the_same_transform(self, pendulum_run, tmp_path):
+        pl, _ = pendulum_run
+        doc = balance_to_dict(pl)
+        doc["P"] = polymap_to_dict(pl.P)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        back = load_balance(path)
+        assert maps_equal(back.Tbar, pl.Tbar) and energies_equal(back.Ec, pl.Ec)
+
+    def test_readers_raise_format_error(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("[1, 2]")
+        for load in (load_balance, load_rom):
+            with pytest.raises(FormatError, match="expected an object, got list"):
+                load(path)
+
+
+def _with(doc, field, value):
+    doc[field] = value
+    return doc
+
+
+def _drop(doc, field):
+    del doc[field]
+    return doc
+
+
+# (name, mutation of a pendulum:3 artifact, text the reason must hold)
+BAD_ARTIFACTS = [
+    ("not-an-object", lambda doc: [1, 2], "nlbt-balance-1"),
+    ("kps-1-file", lambda doc: doc["system"], "'version'"),
+    ("one-hankel-value", lambda doc: _with(doc, "hankel", doc["hankel"][:1]), "'hankel'"),
+    ("d_transf-zero", lambda doc: _with(doc, "d_transf", 0), "'d_transf'"),
+    ("sq_sv-row-dropped", lambda doc: _with(doc, "sq_sv", doc["sq_sv"][:1]), "'sq_sv'"),
+    ("energy-length", lambda doc: _with(
+        doc, "energies", {**doc["energies"], "observability": {"2": ["1"]}}), "'energies'"),
+    ("Tbar-base_dim", lambda doc: _with(
+        doc, "Tbar", {**doc["Tbar"], "base_dim": 1, "terms": {}}), "'Tbar'"),
+    ("Tbar1_inv-shape", lambda doc: _with(doc, "Tbar1_inv", [["1"]]), "'Tbar1_inv'"),
+] + [
+    (f"missing-{field}", lambda doc, field=field: _drop(doc, field), f"'{field}'")
+    for field in ("version", "d_transf", "system", "hankel", "sigma_condition", "sq_sv",
+                  "energies", "Tbar", "Tbar1_inv")
+]
+
+# (name, mutation of a pendulum:3 ROM document with r = 1, text the reason must hold)
+BAD_ROMS = [
+    ("not-an-object", lambda doc: [1, 2], "nlbt-rom-1"),
+    ("r-below-rom-n", lambda doc: _with(
+        doc, "rom", system_to_dict(models.pendulum(3))), "'rom'"),
+    ("transform-base_dim", lambda doc: _with(
+        doc, "transform", {**doc["transform"], "base_dim": 2, "terms": {}}), "'transform'"),
+    ("inverse-base_dim", lambda doc: _with(
+        doc, "inverse_transform", {**doc["inverse_transform"], "base_dim": 1, "terms": {}}),
+     "'inverse_transform'"),
+    ("x_r0-length", lambda doc: _with(doc, "x_r0", ["0", "0"]), "'x_r0'"),
+    ("hankel-length", lambda doc: _with(doc, "hankel", doc["hankel"][:1]), "'hankel'"),
+    ("d_rom-negative", lambda doc: _with(doc, "d_rom", -2), "'d_rom'"),
+] + [
+    (f"missing-{field}", lambda doc, field=field: _drop(doc, field), f"'{field}'")
+    for field in ("version", "r", "d_rom", "rom", "transform", "inverse_transform", "x_r0",
+                  "hankel")
+]
+
+
+class TestMalformedDocuments:
+    """Every malformed document is a parse_error (exit 3) whose reason names the field."""
+
+    @pytest.mark.parametrize(
+        "mutate,names", [case[1:] for case in BAD_ARTIFACTS], ids=[c[0] for c in BAD_ARTIFACTS]
+    )
+    def test_reduce_rejects_artifact(self, mutate, names, pendulum_run, tmp_path, capsys):
+        path = tmp_path / "art.json"
+        path.write_text(json.dumps(mutate(balance_to_dict(pendulum_run[0]))))
+        out = tmp_path / "rom.json"
+        assert main(["reduce", "--artifact", str(path), "-r", "1", "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse_error"
+        assert names in err["reason"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutate,names", [case[1:] for case in BAD_ROMS], ids=[c[0] for c in BAD_ROMS]
+    )
+    def test_simulate_rejects_rom(self, mutate, names, pendulum_run, tmp_path, capsys):
+        path = tmp_path / "rom.json"
+        path.write_text(json.dumps(mutate(rom_to_dict(pendulum_run[1]))))
+        out = tmp_path / "t.csv"
+        assert main(["simulate", f"rom:{path}", "--tspan", "0,1", "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse_error"
+        assert names in err["reason"]
+        assert not out.exists()
+
+    def test_missing_field_reason_names_document_and_field(self, pendulum_run, tmp_path, capsys):
+        path = tmp_path / "rom.json"
+        path.write_text(json.dumps(_drop(rom_to_dict(pendulum_run[1]), "x_r0")))
+        assert main(["simulate", f"rom:{path}", "--out", str(tmp_path / "t.csv")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["reason"] == "nlbt-rom-1 document: missing field 'x_r0'"
+
+    @pytest.mark.parametrize("degree", ["0", "-2"])
+    def test_reduce_rom_degree_below_one(self, degree, pendulum_run, tmp_path, capsys):
+        art = tmp_path / "art.json"
+        save_balance(pendulum_run[0], art)
+        out = tmp_path / "rom.json"
+        assert main(["reduce", "--artifact", str(art), "-r", "1", f"--rom-degree={degree}",
+                     "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse_error",
+                       "reason": f"ROM degree must be at least 1, got {degree}"}
+        assert not out.exists()
+
+
 class TestCli:
     def test_export_and_balance(self, tmp_path):
         sys_path = tmp_path / "m.json"
@@ -181,11 +354,11 @@ class TestCli:
                      "--out", str(rom_path)]) == 0
         doc = json.loads(rom_path.read_text())
         assert doc["inverse_transform"]["rows"] == 2
-        rows = _load_rom(str(rom_path)).P
+        rows = load_rom(rom_path).P
         doc["inverse_transform"] = polymap_to_dict(balance(models.double_pendulum(3), 3).P)
         assert doc["inverse_transform"]["rows"] == 4
         rom_path.write_text(json.dumps(doc))
-        P = _load_rom(str(rom_path)).P
+        P = load_rom(rom_path).P
         assert P.rows == 2 and set(P.terms) == set(rows.terms)
         for k, W in rows.terms.items():
             assert np.array_equal(P.terms[k], W), k

@@ -447,6 +447,12 @@ class TestTensorSum:
         M = rng.standard_normal((3, 8))
         npt.assert_allclose(mat_times_kron(M, [A, B]), M @ np.kron(A, B), rtol=1e-12)
 
+    def test_mat_times_kron_one_row(self):
+        rng = np.random.default_rng(5)
+        A, B = rng.standard_normal((2, 3)), rng.standard_normal((4, 5))
+        M = rng.standard_normal((1, 8))
+        npt.assert_allclose(mat_times_kron(M, [A, B]), M @ np.kron(A, B), rtol=1e-12)
+
 
 class TestCompose:
     def test_identity_transform(self):
@@ -659,6 +665,14 @@ class TestControlAffineSystem:
             sys.rhs(np.zeros(2), [0.5, 0.5])
         with pytest.raises(ValueError):
             ControlAffineSystem(f, [g, g], f).rhs(np.zeros(2), 0.5)
+
+    def test_term_less_drift_with_one_input_column(self):
+        # the input column is the only block, but f holds rows of the stack too
+        sys = ControlAffineSystem(
+            PolyMap({}, 1, rows=1), [PolyMap({0: [[1.0]]}, 1)], PolyMap({1: [[1.0]]}, 1)
+        )
+        npt.assert_array_equal(sys.rhs([0.5], 2.0), [2.0])
+        npt.assert_array_equal(sys.rhs([-1.0], 0.0), [0.0])
 
     def test_release_fold(self):
         f = PolyMap({1: -np.eye(2)}, 2)

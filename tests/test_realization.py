@@ -386,11 +386,19 @@ class TestBuildRom:
         pl = balance(models.pendulum(3), 3)
         bal = pl.realize()
         x0 = np.array([0.05, -0.02])
-        transform = BalancingTransform(pl.sys, pl.Tbar, pl.Tbar1_inv, pl.hankel)
+        transform = BalancingTransform(
+            pl.sys, pl.d_transf, pl.hankel, pl.sq_sv, pl.Ec, pl.Eo, pl.Tbar, pl.Tbar1_inv
+        )
         rom = build_rom(transform, 2, 3, x0=x0)
         for k in (1, 2, 3):
             npt.assert_allclose(rom.sys.f.term(k), bal.sys.f.term(k), atol=1e-13)
         npt.assert_allclose(rom.x_r0, pl.P(x0), rtol=1e-12)
+
+    @pytest.mark.parametrize("d_rom", [0, -2])
+    def test_rom_degree_below_one_rejected(self, d_rom):
+        pl = balance(models.pendulum(3), 3)
+        with pytest.raises(ValueError, match=f"ROM degree must be at least 1, got {d_rom}"):
+            build_rom(pl, 1, d_rom)
 
     def test_three_dim_printed_rom(self):
         pl = balance(models.three_dim_illustrative(exact=True), 3)
