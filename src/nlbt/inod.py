@@ -3,11 +3,11 @@
 After the linear stage normalizes the energies (controllability Hessian I,
 observability Hessian diag(sigma_i^2)), each transform degree k is found by
 collecting the degree-(k+1) coefficients of two conditions on the composed
-energies.  Their known part is each energy composed with the transform found
-so far, ``Phi = T_1 (z + T_2 + ... + T_{k-1})``, by
-:func:`nlbt.kron.compose_degree` over the partitions of each degree (the
-energies are symmetric, and the solve below reads only column-group sums);
-energy degrees that are not stored count as zero.  The controllability energy
+energies.  Their known part is both energies, stacked as one 2-row map,
+composed with the transform found so far, ``Phi = T_1 (z + T_2 + ... +
+T_{k-1})``: one :func:`nlbt.kron.compose_degree` per degree, over its
+partitions (the energies are symmetric, and the solve below reads only
+column-group sums); energy degrees that are not stored count as zero.  The controllability energy
 must stay exactly quadratic, and the observability energy may carry only pure
 powers z_i^(k+1) (whose values define the singular-value-function
 coefficients).  The resulting linear system decouples monomial by monomial;
@@ -176,29 +176,22 @@ def compute_inod_transform(Ec, Eo, d_transf):
     # energy degrees above the stored maximum are treated as exactly zero
     T1, T1inv, hankel = linear_balancing(Ec, Eo)
     sig2 = hankel ** 2
-    # each energy as a 1-row map, composed with the transform found so far
-    ec_map = {k: v[None, :] for k, v in Ec.coeffs.items()}
-    eo_map = {k: v[None, :] for k, v in Eo.coeffs.items()}
+    # both energies as one 2-row map, composed with the transform found so far
+    ec, eo = Ec._doubled, Eo._doubled
+    energies = {k: np.vstack([ec.term(k), eo.term(k)]) for k in {*ec.terms, *eo.terms}}
     Phi = {1: T1}
     c = np.zeros((n, max(d_transf, 1)))
     c[:, 0] = sig2
     for k in range(2, d_transf + 1):
         # Phi holds degrees < k: the known part of the degree-(k+1) energies
-        known_a = _composed_energy(ec_map, Phi, n, k + 1)
-        known_b = _composed_energy(eo_map, Phi, n, k + 1)
-        Tk, c_k = _solve_degree(known_a, known_b, sig2, n, k)
+        Tk, c_k = _solve_degree(compose_degree(energies, Phi, k + 1), sig2, n, k)
         Phi[k] = T1 @ Tk
         c[:, k - 1] = c_k
+    del energies  # a copy of both energies: freed before the contract check's own peak
     transform = PolyMap._adopt(Phi, n, n)
     result = InodResult(transform, T1inv, SqSingularValueFns(c))
     _check_contracts(result, Ec, Eo, d_transf)
     return result
-
-
-def _composed_energy(E, Phi, n, q):
-    """Degree-q coefficient vector of ``E(Phi(z))`` up to column symmetry; zeros if none."""
-    acc = compose_degree(E, Phi, q)
-    return np.zeros(n ** q) if acc is None else acc.ravel()
 
 
 @lru_cache(maxsize=64)
@@ -232,16 +225,18 @@ def _degree_structure(n, k):
     return inv_k, Mk, states, mid, w, base, nm, npairs
 
 
-def _solve_degree(known_a, known_b, sig2, n, k):
+def _solve_degree(known, sig2, n, k):
     """Per-monomial minimum-norm solve for the degree-k transform coefficients.
 
-    Unknowns are the entries ``T[i, mu]`` over (state, degree-k monomial)
-    pairs; the pair belongs to the degree-(k+1) monomial ``mu + {i}``.  Each
-    monomial contributes the two scalar equations described in the module
-    docstring.
+    ``known`` holds the degree-(k+1) coefficients of both composed energies
+    (controllability, then observability) up to column symmetry, or is None
+    when no energy term reaches that degree.  Unknowns are the entries
+    ``T[i, mu]`` over (state, degree-k monomial) pairs; the pair belongs to
+    the degree-(k+1) monomial ``mu + {i}``.  Each monomial contributes the
+    two scalar equations described in the module docstring.
     """
     inv_k, Mk, states, mid, w, base, nm, npairs = _degree_structure(n, k)
-    alpha, beta = (_group_sums(c[None, :], n, k + 1)[0] for c in (known_a, known_b))
+    alpha, beta = np.zeros((2, nm)) if known is None else _group_sums(known, n, k + 1)
     s2 = sig2[states]
     S2 = np.bincount(mid, weights=w * w, minlength=nm)
     S2s = np.bincount(mid, weights=w * w * s2, minlength=nm)

@@ -12,7 +12,8 @@ The drift/input recursions isolate each unknown coefficient behind the
 the full nonlinear Jacobian.  The degree-0 input column transforms as
 ``Tbar_1^{-1} G_0``, which is forced by evaluating the transformed state
 equation at the origin; its coupling term ``Tbar_{k+1} L_{k+1}(Gbar_0)``
-enters every higher degree.
+enters every higher degree.  All m input columns share one recursion, run
+once on their blocks stacked by rows.
 
 Truncation keeps the leading ``r`` rows and the columns whose multi-indices
 only touch retained states, which realizes the balance-then-truncate map
@@ -54,51 +55,57 @@ __all__ = [
 ]
 
 
-def _coupling(Ti, B, i, n, r):
-    """``Ti L_i(B)`` on retained columns, for ``Ti`` symmetric in its ``i`` slots.
+def _coupling(Ti, X, i, n, r):
+    """``Ti L_i(X_l)`` on retained columns for each block of ``X``, shape ``(q, rows, .)``.
 
-    ``B`` holds retained columns only.  At ``r = n`` this is
-    :func:`right_kway_product`.  Below, symmetry makes every slot's term a
-    placement of one product: ``Ti`` on the columns whose first ``i - 1``
-    slots are retained, contracted with ``B`` over the last slot.  The
-    placement covers ``r == n`` too, and is the faster route there as well.
-    The ``r == n`` branch is kept only for the criterion-6 scaling slope (see
-    the ROADMAP's standing constraint): that slope times ``realize()``, and
-    a faster full-order realization at large n lowers it below its bound.
+    ``Ti`` is symmetric in its ``i`` slots; ``X``, ``(q, n, c)``, holds retained
+    columns.  Below ``r = n`` each slot's term is a placement of one product:
+    ``Ti`` on the columns whose first ``i - 1`` slots are retained, times
+    ``[X_1 ... X_q]`` over the last slot.  That would serve ``r == n`` faster
+    too; the per-block :func:`right_kway_product` there is kept only for the
+    criterion-6 slope (ROADMAP standing constraint), which falls below its
+    bound when a large-n ``realize()`` gets faster.
     """
     if r == n:
-        return right_kway_product(Ti, B, i, n)
-    rows, q = Ti.shape[0], B.shape[1]
-    Y = Ti.reshape((rows,) + (n,) * i)[(slice(None),) + (slice(r),) * (i - 1)] @ B
-    # slot s: the B block goes after the first s retained indices
+        return np.stack([right_kway_product(Ti, Xl, i, n) for Xl in X])
+    rows, (q, _, c) = Ti.shape[0], X.shape
+    Tlead = Ti.reshape((rows,) + (n,) * i)[(slice(None),) + (slice(r),) * (i - 1)]
+    Y = Tlead @ X.transpose(1, 0, 2).reshape(n, q * c)
+    # slot s: the X_l block goes after the first s retained indices
     return sum(
-        Y.reshape(rows, r ** s, r ** (i - 1 - s), q).swapaxes(2, 3).reshape(rows, -1)
+        Y.reshape(rows, r ** s, r ** (i - 1 - s), q, c)
+        .transpose(3, 0, 1, 4, 2)
+        .reshape(q, rows, -1)
         for s in range(i)
     )
 
 
-def _solve_recursion(pm, seed, Tbar, Tbar1_inv, d, r, couple_top):
-    """Drift/input recursion (see :func:`balanced_drift`) on retained columns.
+def _solve_recursion(maps, seed, Tbar, Tbar1_inv, d, r):
+    """Drift/input recursion (see :func:`balanced_drift`) of all ``maps`` at once.
 
-    ``seed`` holds the known low degrees; the coupling index ``i`` runs to
-    ``k + couple_top`` (the input map couples one degree higher, against its
-    constant term).
+    It runs on their blocks stacked by rows (a lone map's in place), each
+    degree a ``(q, n, r**k)`` array, and returns the maps stacked as one.
+    ``seed`` holds the known low degrees.  The coupling index ``i`` runs to
+    ``k + 1``, which reaches a degree-0 block only where an input seeds one.
     """
-    n = Tbar.rows
-    Ts = Tbar.terms
+    n, q = Tbar.rows, len(maps)
+    r = n if r is None else r
     Tr = truncate_transform(Tbar, r).terms
-    Xbar = dict(seed)
+    if q == 1:
+        blocks = maps[0].terms
+    else:
+        degrees = set().union(*(pm.terms for pm in maps)) - {0}
+        blocks = {j: np.vstack([pm.term(j) for pm in maps]) for j in degrees}
+    X = dict(seed)
     for k in range(1, d + 1):
         # the raw partition sum: symmetrize_columns below takes the whole bracket
-        rhs = compose_degree(pm.terms, Tr, k)
-        if rhs is None:
-            rhs = np.zeros((pm.rows, r ** k))
-        for i in range(2, min(k + couple_top, Tbar.degree) + 1):
-            jj = k - i + 1
-            if jj in Xbar:
-                rhs = rhs - _coupling(Ts[i], Xbar[jj], i, n, r)
-        Xbar[k] = Tbar1_inv @ symmetrize_columns(rhs, r, k)
-    return PolyMap._adopt(Xbar, r, n)
+        rhs = compose_degree(blocks, Tr, k)
+        rhs = np.zeros((q, n, r ** k)) if rhs is None else rhs.reshape(q, n, -1)
+        for i in range(2, min(k + 1, Tbar.degree) + 1):
+            if k - i + 1 in X:
+                rhs -= _coupling(Tbar.terms[i], X[k - i + 1], i, n, r)
+        X[k] = Tbar1_inv @ symmetrize_columns(rhs.reshape(q * n, -1), r, k).reshape(q, n, -1)
+    return PolyMap._adopt({k: W.reshape(q * n, -1) for k, W in X.items()}, r, q * n)
 
 
 def balanced_drift(f, Tbar, Tbar1_inv, d, r=None):
@@ -112,23 +119,20 @@ def balanced_drift(f, Tbar, Tbar1_inv, d, r=None):
     holds the columns that only touch states < r, as a map on ``R^r`` with
     all ``n`` rows.
     """
-    n = Tbar.rows
-    r = n if r is None else r
-    return _solve_recursion(f, {}, Tbar, Tbar1_inv, d, r, 0)
+    return _solve_recursion([f], {}, Tbar, Tbar1_inv, d, r)
 
 
-def balanced_input(g_column, Tbar, Tbar1_inv, d, r=None):
-    """One input column of the balanced realization, degrees 0..d.
+def balanced_input(g_columns, Tbar, Tbar1_inv, d, r=None):
+    """All m input columns of the balanced realization, degrees 0..d, as one map.
 
-    Same recursion as the drift; the constant column seeds it, and its k-way
-    coupling with ``Tbar_{k+1}`` is kept (the term a degree-(k+1) transform
-    contributes against the constant input).  ``r`` restricts the columns as
-    in :func:`balanced_drift`.
+    The drift's recursion, run once on the columns stacked by rows (column l
+    in rows ``l n`` to ``(l + 1) n``); the constant columns seed it, and
+    their k-way coupling with ``Tbar_{k+1}`` is kept (the term a
+    degree-(k+1) transform contributes against the constant input).  ``r``
+    restricts the columns as in :func:`balanced_drift`.
     """
-    n = Tbar.rows
-    r = n if r is None else r
-    seed = {0: Tbar1_inv @ g_column.term(0)}
-    return _solve_recursion(g_column, seed, Tbar, Tbar1_inv, d, r, 1)
+    seed = {0: Tbar1_inv @ np.stack([gc.term(0) for gc in g_columns])}
+    return _solve_recursion(g_columns, seed, Tbar, Tbar1_inv, d, r)
 
 
 def balanced_output(h, Tbar, d, r=None):
@@ -254,11 +258,12 @@ class ReducedOrderModel:
         return self.T_r(np.asarray(x_r, dtype=float))
 
 
-def _leading_rows(pm, r):
-    if r == pm.rows:
-        return pm
-    # copies, so the ROM does not keep the full-order rows alive
-    return PolyMap._adopt({k: W[:r].copy() for k, W in pm.terms.items()}, pm.base_dim, r)
+def _leading_rows(pm, q, r):
+    """The ``q`` maps stacked by rows in ``pm``, each cut to its leading ``r`` rows."""
+    blocks = {k: W.reshape(q, pm.rows // q, -1)[:, :r] for k, W in pm.terms.items()}
+    if r < pm.rows // q:  # one copy per degree, so the ROM keeps no full-order rows alive
+        blocks = {k: B.copy() for k, B in blocks.items()}
+    return [PolyMap._adopt({k: B[l] for k, B in blocks.items()}, pm.base_dim, r) for l in range(q)]
 
 
 def build_rom(balancing, r, d_rom, x0=None, g_degree=None):
@@ -282,10 +287,8 @@ def build_rom(balancing, r, d_rom, x0=None, g_degree=None):
         raise ValueError(f"ROM degree must be at least 1, got {d_rom}")
     Tbar, Tbar1_inv = balancing.Tbar, balancing.Tbar1_inv
     dg = d_rom - 1 if g_degree is None else g_degree
-    f_r = _leading_rows(balanced_drift(sys.f, Tbar, Tbar1_inv, d_rom, r), r)
-    g_r = [
-        _leading_rows(balanced_input(gc, Tbar, Tbar1_inv, dg, r), r) for gc in sys.g
-    ]
+    (f_r,) = _leading_rows(balanced_drift(sys.f, Tbar, Tbar1_inv, d_rom, r), 1, r)
+    g_r = _leading_rows(balanced_input(sys.g, Tbar, Tbar1_inv, dg, r), sys.m, r)
     h_r = balanced_output(sys.h, Tbar, d_rom, r)
     T_r = truncate_transform(Tbar, r)
     P_r = inverse_transform_coeffs(Tbar, Tbar1_inv, Tbar.degree, r)

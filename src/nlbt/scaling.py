@@ -134,11 +134,11 @@ def assemble_scaling_coeffs(A_per_state, n, d):
     if A_per_state.shape[1] < d + 1:
         raise ValueError(f"need series of length >= {d + 1} per state")
     terms = {}
+    states = np.arange(n)
     for k in range(1, d + 1):
         Ak = np.zeros((n, n ** k))
-        for i in range(n):
-            col = i * (n ** k - 1) // (n - 1) if n > 1 else 0
-            Ak[i, col] = A_per_state[i, k]
+        # column of z_i^(k): i (n^k - 1)/(n - 1) = i (1 + n + ... + n^(k-1))
+        Ak[states, states * sum(n ** j for j in range(k))] = A_per_state[:, k]
         if k == 1 or np.any(Ak):
             terms[k] = Ak
     return PolyMap._adopt(terms, n, n)

@@ -22,11 +22,12 @@ one string, ``json.dumps(doc, indent=1)`` and a newline.  The documents:
   leading rows of the series inverse (``inverse_transform``; a document that
   holds all n rows loads to its first r), ``x_r0`` and ``hankel``.
 
-Every reader checks that the document is an object of its version and that
-every block has its shape, and raises :class:`FormatError` otherwise.  The
-balance and ROM readers also check that every field is present and decodes
-and that every shape agrees with the system's n or the ROM's r; their
-messages name the document and the field.
+Every reader checks that the document is an object of its version, that
+every field is present and decodes, and that every block has its shape and
+every shape agrees with the system's n or the ROM's r; the ``kps-1`` reader
+also checks ``degree`` against the largest block degree.  Otherwise it raises
+:class:`FormatError`, whose message names the document and the field.  A
+file that cannot be read is a :class:`FormatError` naming its path.
 """
 
 import json
@@ -37,7 +38,7 @@ from .energy import EnergyFunction
 from .errors import HypothesisViolation
 from .inod import SqSingularValueFns
 from .kron import ControlAffineSystem, PolyMap
-from .realization import BalancingTransform, ReducedOrderModel
+from .realization import BalancingTransform, ReducedOrderModel, _leading_rows
 
 __all__ = [
     "system_to_dict",
@@ -81,11 +82,15 @@ def _encode_vector(v):
     return _encode_matrix(v)[0]
 
 
-def _decode_vector(items, length):
+def _list_of(items, length):
     if not isinstance(items, list) or len(items) != length:
         got = len(items) if isinstance(items, list) else type(items).__name__
         raise FormatError(f"expected a list of {length} entries, got {got}")
-    return _decode_matrix([items], (1, length))[0]
+    return items
+
+
+def _decode_vector(items, length):
+    return _decode_matrix([_list_of(items, length)], (1, length))[0]
 
 
 def _encode_polymap(pm):
@@ -128,21 +133,23 @@ def system_to_dict(sys):
     }
 
 
+def _decode_columns(items, n, m):
+    return [_decode_polymap(gobj, n, n) for gobj in _list_of(items, m)]
+
+
 def system_from_dict(obj):
-    if not isinstance(obj, dict) or obj.get("version") != FORMAT_VERSION:
-        raise FormatError(f"not a {FORMAT_VERSION} document")
-    try:
-        n, m, p = int(obj["n"]), int(obj["m"]), int(obj["p"])
-        f = _decode_polymap(obj["f"], n, n)
-        g = [_decode_polymap(gobj, n, n) for gobj in obj["g"]]
-        h = _decode_polymap(obj["h"], n, p)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"malformed {FORMAT_VERSION} document: {exc}") from exc
-    if len(g) != m:
-        raise FormatError("input-column count does not match m")
-    return ControlAffineSystem(f, g, h)
+    """Inverse of :func:`system_to_dict`; see the module docstring for its checks."""
+    _check_version(obj, FORMAT_VERSION)
+    doc = FORMAT_VERSION
+    n, m, p = (_field(doc, obj, key, _positive_int) for key in ("n", "m", "p"))
+    f = _field(doc, obj, "f", _decode_polymap, n, n)
+    g = _field(doc, obj, "g", _decode_columns, n, m)
+    h = _field(doc, obj, "h", _decode_polymap, n, p)
+    sys = ControlAffineSystem(f, g, h)
+    degree, top = _field(doc, obj, "degree", _positive_int), sys.degree()
+    if degree != top:
+        raise FormatError(f"{doc} document: field 'degree' is {degree}, but the blocks reach {top}")
+    return sys
 
 
 def _write(doc, path):
@@ -158,6 +165,8 @@ def _read(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise FormatError(f"cannot read '{path}': {exc.strerror}") from exc
 
 
 def save_system(sys, path):
@@ -171,10 +180,10 @@ def load_system(path):
 def _check_version(obj, version):
     if not isinstance(obj, dict):
         got = type(obj).__name__
-        raise FormatError(f"not an {version} document: expected an object, got {got}")
+        raise FormatError(f"not a {version} document: expected an object, got {got}")
     if obj.get("version") != version:
         got = obj.get("version")
-        raise FormatError(f"not an {version} document: field 'version' is {got!r}")
+        raise FormatError(f"not a {version} document: field 'version' is {got!r}")
 
 
 def _field(doc, obj, key, decode, *args):
@@ -189,8 +198,8 @@ def _field(doc, obj, key, decode, *args):
         raise FormatError(f"{doc} document: field {key!r}: {reason}") from exc
 
 
-def _decode_degree(v):
-    if not isinstance(v, int) or v < 1:
+def _positive_int(v):
+    if type(v) is not int or v < 1:  # JSON true is a bool, which is an int
         raise FormatError(f"{v!r} is not a positive integer")
     return v
 
@@ -250,7 +259,7 @@ def balance_from_dict(obj):
     """Inverse of :func:`balance_to_dict`; see the module docstring for its checks."""
     _check_version(obj, BALANCE_VERSION)
     doc = BALANCE_VERSION
-    d_transf = _field(doc, obj, "d_transf", _decode_degree)
+    d_transf = _field(doc, obj, "d_transf", _positive_int)
     sys = _field(doc, obj, "system", system_from_dict)
     n = sys.n
     hankel = _field(doc, obj, "hankel", _decode_vector, n)
@@ -284,23 +293,16 @@ def rom_to_dict(rom):
     }
 
 
-def _leading_rows(pm, r):
-    if pm.rows == r:
-        return pm
-    # documents that stored all n rows of the series inverse
-    return PolyMap({k: W[:r] for k, W in pm.terms.items()}, pm.base_dim, rows=r)
-
-
 def rom_from_dict(obj):
     """Inverse of :func:`rom_to_dict`; see the module docstring for its checks."""
     _check_version(obj, ROM_VERSION)
     doc = ROM_VERSION
-    r = _field(doc, obj, "r", _decode_degree)
-    d_rom = _field(doc, obj, "d_rom", _decode_degree)
+    r = _field(doc, obj, "r", _positive_int)
+    d_rom = _field(doc, obj, "d_rom", _positive_int)
     sys = _field(doc, obj, "rom", _decode_system, r)
     T_r = _field(doc, obj, "transform", _decode_map, r, r)
     n = T_r.rows
-    P = _leading_rows(_field(doc, obj, "inverse_transform", _decode_map, n, r), r)
+    (P,) = _leading_rows(_field(doc, obj, "inverse_transform", _decode_map, n, r), 1, r)
     x_r0 = _field(doc, obj, "x_r0", _decode_vector, r)
     hankel = _field(doc, obj, "hankel", _decode_vector, n)
     return ReducedOrderModel(r, d_rom, sys, T_r, P, x_r0, hankel)

@@ -86,6 +86,42 @@ class TestKpsFormat:
         with pytest.raises(FormatError):
             system_from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "name", ["2d-illustrative", "pendulum:7", "3d-illustrative", "3d-illustrative-exact",
+                 "double-pendulum:5", "beam"]
+    )
+    def test_exported_zoo_file_rewrites_its_bytes(self, name, tmp_path):
+        path = tmp_path / "sys.json"
+        assert main(["export", "--model", name, "--out", str(path)]) == 0
+        save_system(load_system(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("field", ["n", "m", "p", "degree", "f", "g", "h"])
+    def test_missing_field_is_named(self, field):
+        obj = system_to_dict(models.beam_single_element())
+        del obj[field]
+        with pytest.raises(FormatError, match=f"^kps-1 document: missing field '{field}'$"):
+            system_from_dict(obj)
+
+    def test_degree_must_be_the_largest_block_degree(self, tmp_path, capsys):
+        obj = system_to_dict(models.beam_single_element())
+        assert obj["degree"] == 3
+        obj["degree"] = 7
+        path = tmp_path / "beam.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "art.json"
+        assert main(["balance", "--file", str(path), "--degree", "2", "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse_error",
+                       "reason": "kps-1 document: field 'degree' is 7, but the blocks reach 3"}
+        assert not out.exists()
+
+    def test_input_column_count_names_the_field(self):
+        obj = system_to_dict(models.beam_single_element())
+        obj["g"] = obj["g"][:2]
+        with pytest.raises(FormatError, match="field 'g': expected a list of 6 entries, got 2"):
+            system_from_dict(obj)
+
     @pytest.mark.parametrize("field", ["f", "h"])
     def test_polymap_not_an_object(self, field):
         obj = system_to_dict(models.pendulum(3))
@@ -213,6 +249,8 @@ BAD_ARTIFACTS = [
     ("kps-1-file", lambda doc: doc["system"], "'version'"),
     ("one-hankel-value", lambda doc: _with(doc, "hankel", doc["hankel"][:1]), "'hankel'"),
     ("d_transf-zero", lambda doc: _with(doc, "d_transf", 0), "'d_transf'"),
+    ("d_transf-true", lambda doc: _with(doc, "d_transf", True), "'d_transf'"),
+    ("system-n-true", lambda doc: _with(doc, "system", {**doc["system"], "n": True}), "'n'"),
     ("sq_sv-row-dropped", lambda doc: _with(doc, "sq_sv", doc["sq_sv"][:1]), "'sq_sv'"),
     ("energy-length", lambda doc: _with(
         doc, "energies", {**doc["energies"], "observability": {"2": ["1"]}}), "'energies'"),
@@ -280,6 +318,21 @@ class TestMalformedDocuments:
         assert main(["simulate", f"rom:{path}", "--out", str(tmp_path / "t.csv")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["reason"] == "nlbt-rom-1 document: missing field 'x_r0'"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["reduce", "--artifact", "{dir}", "-r", "1"],
+         ["balance", "--file", "{dir}", "--degree", "2"]],
+        ids=["reduce-artifact", "balance-file"],
+    )
+    def test_directory_as_input_is_parse_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        args = [a.format(dir=tmp_path) for a in argv] + ["--out", str(out)]
+        assert main(args) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse_error",
+                       "reason": f"cannot read '{tmp_path}': Is a directory"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("degree", ["0", "-2"])
     def test_reduce_rom_degree_below_one(self, degree, pendulum_run, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as la
 
 from conftest import best_state_signs, ray_slope
+from test_energy import mixed_input_system
 from nlbt import models
 from nlbt.errors import HypothesisViolation
 from nlbt.kron import ControlAffineSystem, PolyMap
@@ -55,7 +56,7 @@ class TestBalancedCoefficients:
         Tbar = PolyMap({1: np.eye(3)}, 3)
         inv = np.eye(3)
         fbar = balanced_drift(sys.f, Tbar, inv, 3)
-        gbar = balanced_input(sys.g[0], Tbar, inv, 3)
+        gbar = balanced_input([sys.g[0]], Tbar, inv, 3)
         hbar = balanced_output(sys.h, Tbar, 3)
         for k in (1, 2, 3):
             npt.assert_allclose(fbar.term(k), sys.f.term(k), atol=1e-12)
@@ -89,13 +90,13 @@ class TestBalancedCoefficients:
         Tbar = random_transform(3, d, seed=6)
         Tinv = la.inv(Tbar.term(1))
         fbar = balanced_drift(sys.f, Tbar, Tinv, d)
-        gbar = [balanced_input(gc, Tbar, Tinv, d) for gc in sys.g]
+        gbar = balanced_input(sys.g, Tbar, Tinv, d)
         rng = np.random.default_rng(7)
         u = rng.standard_normal(2)
 
         def resid(zbar):
             J = Tbar.jacobian(zbar)
-            lhs = J @ (fbar(zbar) + np.column_stack([gb(zbar) for gb in gbar]) @ u)
+            lhs = J @ (fbar(zbar) + gbar(zbar).reshape(2, 3).T @ u)
             x = Tbar(zbar)
             rhs = sys.f(x) + sys.input_matrix(x) @ u
             return lhs - rhs
@@ -229,7 +230,7 @@ class TestTruncation:
         pl = balance(models.double_pendulum(3), 3)
         rom = build_rom(pl, 2, 3)
         alive = [ref() for ref in made if ref() is not None]
-        assert len(made) == pl.sys.m + 3  # drift, input columns, output, T_r
+        assert len(made) == 4  # drift, all input columns at once, output, T_r
         assert [Tr is rom.T_r for Tr in alive] == [True]
 
     def test_three_dim_manifold_map(self):
@@ -343,10 +344,10 @@ class TestTruncateFirst:
         assert_truncation_of(
             balanced_drift(sys.f, Tbar, Tinv, d, r), balanced_drift(sys.f, Tbar, Tinv, d), r, n
         )
-        for gc in sys.g:
-            assert_truncation_of(
-                balanced_input(gc, Tbar, Tinv, d, r), balanced_input(gc, Tbar, Tinv, d), r, n
-            )
+        assert_truncation_of(
+            balanced_input(sys.g, Tbar, Tinv, d, r), balanced_input(sys.g, Tbar, Tinv, d), r,
+            sys.m * n,
+        )
         assert_truncation_of(
             balanced_output(sys.h, Tbar, d, r), balanced_output(sys.h, Tbar, d), r, sys.p
         )
@@ -358,10 +359,48 @@ class TestTruncateFirst:
         n, r = 4, 2
         rng = np.random.default_rng(30 + i + jj)
         Ti = symmetrize_columns(rng.standard_normal((3, n ** i)), n, i)
-        B = rng.standard_normal((n, n ** jj))
-        want = truncate_columns(right_kway_product(Ti, B, i, n), n, r, i - 1 + jj)
-        got = _coupling(Ti, truncate_columns(B, n, r, jj), i, n, r)
-        npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        X = rng.standard_normal((2, n, n ** jj))  # two stacked blocks
+        got = _coupling(Ti, truncate_columns(X.reshape(2 * n, -1), n, r, jj).reshape(2, n, -1),
+                        i, n, r)
+        for Xl, got_l in zip(X, got):
+            want = truncate_columns(right_kway_product(Ti, Xl, i, n), n, r, i - 1 + jj)
+            npt.assert_allclose(got_l, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_stacked_columns_match_one_at_a_time(self, r):
+        # state-dependent columns of degrees {0,1}, {0,2} and {1,3}, so the
+        # stacked blocks pad absent degrees with zeros
+        d = 4
+        sys = mixed_input_system()
+        n = sys.n
+        Tbar = random_transform(n, d, seed=23)
+        Tinv = la.inv(Tbar.term(1))
+        together = balanced_input(sys.g, Tbar, Tinv, d, r)
+        assert (together.rows, together.base_dim) == (sys.m * n, r)
+        for l, gc in enumerate(sys.g):
+            alone = balanced_input([gc], Tbar, Tinv, d, r)
+            scale = max(np.abs(W).max() for W in alone.terms.values())
+            assert set(together.terms) == set(alone.terms)
+            for k, W in alone.terms.items():
+                block = together.terms[k][l * n : (l + 1) * n]
+                assert np.abs(block - W).max() <= 1e-14 * scale, (l, k)
+
+    @pytest.mark.parametrize("r", [2, 6])
+    def test_one_input_recursion_per_rom(self, zoo_pipelines, monkeypatch, r):
+        import nlbt.realization
+
+        stacked = []
+
+        def counting(maps, *args):
+            stacked.append(len(maps))
+            return solve(maps, *args)
+
+        solve = nlbt.realization._solve_recursion
+        monkeypatch.setattr(nlbt.realization, "_solve_recursion", counting)
+        pl = zoo_pipelines["beam"]
+        rom = build_rom(pl, r, pl.d_transf)
+        assert pl.sys.m == 6 and len(rom.sys.g) == 6
+        assert stacked == [1, 6]  # the drift, then every input column in one
 
     @pytest.mark.parametrize("name", [name for name, _, _ in ZOO_CASES])
     def test_full_order_solves_the_recursions(self, zoo_pipelines, name):

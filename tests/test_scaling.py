@@ -6,7 +6,7 @@ from conftest import ray_slope
 from nlbt import models
 from nlbt.energy import solve_controllability_energy, solve_observability_energy
 from nlbt.inod import compute_inod_transform
-from nlbt.kron import PolyMap
+from nlbt.kron import PolyMap, multi_index_to_column
 from nlbt.pipeline import balance
 from nlbt.scaling import (
     assemble_scaling_coeffs,
@@ -131,6 +131,17 @@ class TestAssembleScaling:
         # state 2 (row index 1), k=3: 1-based column (2-1)/(2-1)*(8-1)+1 = 8
         assert W3[1, 7] == 2.5
         assert np.count_nonzero(W3) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_each_state_at_its_pure_power(self, n):
+        d = 4
+        A = np.random.default_rng(n).standard_normal((n, d + 1))
+        pm = assemble_scaling_coeffs(A, n, d)
+        for k in range(1, d + 1):
+            want = np.zeros((n, n ** k))
+            for i in range(n):
+                want[i, multi_index_to_column((i,) * k, n)] = A[i, k]
+            assert np.array_equal(pm.term(k), want), k
 
     def test_degree_one_diagonal(self):
         pm = assemble_scaling_coeffs(np.array([[0, 1.0], [0, 2.0], [0, 3.0]]), 3, 1)
