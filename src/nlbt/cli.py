@@ -3,7 +3,7 @@
 Subcommands: ``export``, ``balance``, ``reduce``, ``simulate``, ``compare``,
 ``bench``.  Exit codes: 0 success, 2 hypothesis violation, 3 parse error,
 4 resource refusal, 5 contract violation (a computed transform failed its
-residual contracts).
+residual contracts), 6 write error (an output file could not be written).
 """
 
 import argparse
@@ -34,6 +34,7 @@ EXIT_HYPOTHESIS = 2
 EXIT_PARSE = 3
 EXIT_RESOURCE = 4
 EXIT_CONTRACT = 5
+EXIT_WRITE = 6
 
 
 def _load_model_or_file(args):
@@ -253,9 +254,15 @@ def main(argv=None):
     except ContractViolation as exc:
         print(json.dumps({"error": "contract_violation", "reason": str(exc)}), file=_sys.stderr)
         return EXIT_CONTRACT
-    except (FormatError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (FormatError, KeyError, ValueError) as exc:
         print(json.dumps({"error": "parse_error", "reason": str(exc)}), file=_sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:
+        # every failed read is a FormatError, so this failed a write (on a flush: no path)
+        where = f" '{exc.filename}'" if exc.filename else ""
+        reason = f"cannot write{where}: {exc.strerror}"
+        print(json.dumps({"error": "write_error", "reason": reason}), file=_sys.stderr)
+        return EXIT_WRITE
 
 
 if __name__ == "__main__":

@@ -17,15 +17,14 @@ That gauge choice is one of many valid ones, so tests should assert the
 residual contracts and the sigma^2 series rather than raw coefficients.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as la
 
 from .errors import ContractViolation, HypothesisViolation
-from .kron import PolyMap, column_multi_indices, compose_degree
-from .kron import _Compact, _group_sums, _symmetry_groups
+from .kron import PolyMap, compose_degree
+from .kron import _Compact, _group_sums, _raise_table, _symmetry_groups
 
 __all__ = [
     "SqSingularValueFns",
@@ -197,30 +196,15 @@ def compute_inod_transform(Ec, Eo, d_transf):
 @lru_cache(maxsize=64)
 def _degree_structure(n, k):
     """Sigma-independent combinatorics of the degree-k per-monomial solve."""
-    q = k + 1
-    # monomials are the column groups of equal multisets
-    inv_q, counts_q, _ = _symmetry_groups(n, q)
-    inv_k, _, reps_k = _symmetry_groups(n, k)
-    monos_k = column_multi_indices(n, k)[reps_k]  # (Mk, k) sorted representatives
-    Mk = monos_k.shape[0]
-    occ = (monos_k[:, :, None] == np.arange(n)[None, None, :]).sum(axis=1)  # (Mk, n)
-    fact = np.array([math.factorial(j) for j in range(k + 2)], dtype=float)
-    prodfact_mu = fact[occ].prod(axis=1)  # prod of count! over states, per monomial
-
-    # all (state, monomial) pairs: the pair (i, mu) belongs to monomial mu+{i}
+    inv_k, counts_k, _ = _symmetry_groups(n, k)
+    nm = _symmetry_groups(n, k + 1)[1].size
+    up, mult = _raise_table(n, k + 1)
+    Mk = up.shape[0]
+    # all (state, monomial) pairs, state-major: the pair (i, mu) belongs to monomial mu+{i}
     states = np.repeat(np.arange(n), Mk)          # pair -> state i
-    mus = np.tile(np.arange(Mk), n)               # pair -> degree-k monomial id
-    pair_keys = np.sort(
-        np.concatenate([monos_k[mus], states[:, None]], axis=1), axis=1
-    )
-    col_pair = np.zeros(pair_keys.shape[0], dtype=np.int64)
-    for j in range(q):
-        col_pair = col_pair * n + pair_keys[:, j]
-    mid = inv_q[col_pair]                         # pair -> degree-q monomial id
-
-    w = occ[mus, states] + 1.0                    # multiplicity of i in mu+{i}
-    base = fact[k] / (prodfact_mu[mus] * w)       # arrangements of mu+{i} minus one i
-    nm = counts_q.size
+    mid = up.T.ravel().astype(np.intp)            # pair -> degree-(k+1) monomial id
+    w = mult.T.ravel().astype(float)              # multiplicity of i in mu+{i}
+    base = np.tile(counts_k, n) / w               # arrangements of mu+{i} minus one i
     npairs = np.bincount(mid, minlength=nm)
     return inv_k, Mk, states, mid, w, base, nm, npairs
 

@@ -95,6 +95,24 @@ def _symmetry_groups(n, k):
     return inv, counts, uniq
 
 
+@lru_cache(maxsize=64)
+def _raise_table(n, k):
+    """Degree-(k-1) monomial ``mu`` times state ``i``: ``(monomials, n)`` read-only tables.
+
+    ``up[mu, i]`` is the id of the degree-k monomial ``mu + {i}``, ``mult[mu, i]``
+    the multiplicity of ``i`` in it: k times the column count of ``mu`` over its.
+    Both in the smallest unsigned type that holds them, because the cache keeps them.
+    """
+    inv, counts, _ = _symmetry_groups(n, k)
+    _, counts_prev, reps_prev = _symmetry_groups(n, k - 1)
+    up = inv[np.arange(n) * n ** (k - 1) + reps_prev[:, None]]
+    mult = (k * counts_prev[:, None] // counts[up]).astype(np.min_scalar_type(k))
+    up = up.astype(np.min_scalar_type(counts.size - 1))
+    up.setflags(write=False)
+    mult.setflags(write=False)
+    return up, mult
+
+
 def _monomial_start(n, k):
     """Position of the first degree-k monomial when degrees 0, 1, ... are concatenated."""
     return math.comb(n + k - 1, k - 1) if k else 0
@@ -262,10 +280,7 @@ class _Compact:
             blocks = []
             for k in range(max(lo, 1), hi + 1):
                 Ck = C[:, self.start[k] - self.start[lo] : self.start[k + 1] - self.start[lo]]
-                inv, counts, _ = _symmetry_groups(n, k)
-                _, counts_prev, reps_prev = _symmetry_groups(n, k - 1)
-                up = inv[np.arange(n) * n ** (k - 1) + reps_prev[:, None]]
-                mult = k * counts_prev[:, None] // counts[up]
+                up, mult = _raise_table(n, k)
                 D = (Ck[:, up] * mult).transpose(0, 2, 1)  # (rows, n, monomials)
                 blocks.append(D.reshape(-1, up.shape[0]))
             if blocks:

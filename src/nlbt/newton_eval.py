@@ -7,6 +7,14 @@ input-normal/output-diagonal transform.  Much slower than the polynomial
 realization (every evaluation lifts to the full order), so it serves as an
 independent cross-check and an optional full-order evaluator.
 
+:func:`eval_balanced_rhs_newton` is the full-order evaluator.  The other five
+functions are the cross-check API, one per polynomial the pipeline builds:
+:func:`eval_inverse_scaling` (``z -> zbar``, the series of
+:func:`nlbt.scaling.inverse_scaling_series`), :func:`newton_scaling` (the
+scaling map), :func:`eval_forward_balancing_newton` (``Tbar``),
+:func:`balancing_jacobian_newton` (its Jacobian) and
+:func:`newton_inverse_balancing` (the series inverse ``P``).
+
 Each scaling-Newton iterate costs one pass of
 :meth:`~nlbt.inod.SqSingularValueFns.value_and_derivative`, which gives the
 residual and the diagonal Jacobian together; the lift to ``(x, dx/dzbar)``

@@ -1,79 +1,51 @@
 """Scaling transformation from the squared singular value functions.
 
-Per state, the inverse scaling map is ``z_i * (sigma_i^2(z_i))**(1/4)``, a
-scalar series computed through power-series log/exp rather than closed-form
-coefficient formulas (the series route works at any degree).  Series reversion
-then produces the forward scaling map, whose coefficients populate sparse
-matrices with one nonzero per state - the column of ``z_i^(k)``.
+Per state, the inverse scaling map is ``z_i * (sigma_i^2(z_i))**(1/4)``.  Its
+series, and by Lagrange inversion, ``A_k = (1/k) [z^(k-1)] c(z)**(-k/4)``, that
+of the forward map, come from one power-series recurrence at any degree:
+:func:`series_power` (J.C.P. Miller's; Knuth, *TAOCP* Vol. 2, 4.7).  The forward
+coefficients populate sparse matrices with one nonzero per state - the column
+of ``z_i^(k)``.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
 from .kron import PolyMap, compose
 
 __all__ = [
-    "series_product",
+    "series_power",
     "inverse_scaling_series",
-    "series_reversion",
     "assemble_scaling_coeffs",
     "compose_balancing",
     "scaling_series_for",
 ]
 
 
-@lru_cache(maxsize=64)
-def _toeplitz_index(m, d):
-    """``idx[i, k] = k - i + m - 1``: where ``b_(k-i)`` sits in ``b`` padded by m - 1 zeros."""
-    idx = np.arange(d + 1)[None, :] - np.arange(m)[:, None] + (m - 1)
-    idx.setflags(write=False)
-    return idx
+def series_power(c, alpha, d):
+    """Taylor coefficients of ``c(z)**alpha`` through degree ``d``.
 
-
-def series_product(a, b, d):
-    """Cauchy product of two coefficient arrays, truncated at degree ``d``.
-
-    Coefficients run along the last axis; leading axes broadcast, so one call
-    multiplies the series of every state at once.  The product is one
-    contraction of ``a`` against the lower-triangular Toeplitz matrix
-    ``B[i, k] = b_(k-i)``, gathered from ``b`` between zero pads; the sum over
-    ``i`` runs in increasing order, as the term-by-term product adds.
+    Coefficients run along the last axis of ``c``, whose constant terms must
+    be positive; ``alpha`` broadcasts against the leading axes, so one call
+    raises every state's series to several powers.  Miller's recurrence
+    ``k c_0 b_k = sum_(j=1..k) ((alpha+1) j - k) c_j b_(k-j)`` gives each
+    coefficient from the lower ones.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = min(a.shape[-1], d + 1)
-    top = min(b.shape[-1], d + 1)
-    bpad = np.zeros(b.shape[:-1] + (m + d,))
-    bpad[..., m - 1 : m - 1 + top] = b[..., :top]
-    return (a[..., :m, None] * bpad[..., _toeplitz_index(m, d)]).sum(axis=-2)
-
-
-def _series_log1p(u, d):
-    """log(1 + u) for series ``u`` (last axis) with no constant term."""
-    out = np.zeros(u.shape[:-1] + (d + 1,))
-    term = np.zeros_like(out)
-    term[..., 0] = 1.0
-    for m in range(1, d + 1):
-        term = series_product(term, u, d)
-        if not np.any(term):
-            break
-        out += ((-1) ** (m + 1)) * term / m
-    return out
-
-
-def _series_exp(v, d):
-    """exp(v) for series ``v`` (last axis) with no constant term."""
-    out = np.zeros(v.shape[:-1] + (d + 1,))
-    out[..., 0] = 1.0
-    term = np.zeros_like(out)
-    term[..., 0] = 1.0
-    for m in range(1, d + 1):
-        term = series_product(term, v, d) / m
-        if not np.any(term):
-            break
-        out += term
-    return out
+    c = np.asarray(c, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    if np.any(c[..., 0] <= 0):
+        raise ValueError("constant term of the series must be positive")
+    cp = np.zeros(c.shape[:-1] + (d + 1,))
+    cp[..., : c.shape[-1]] = c[..., : d + 1]
+    c0 = cp[..., 0]
+    b = np.zeros(np.broadcast_shapes(alpha.shape[:-1], c.shape[:-1]) + (d + 1,))
+    b[..., 0] = c0 ** alpha[..., 0]
+    j = np.arange(1, d + 1)
+    for k in range(1, d + 1):
+        terms = ((alpha + 1.0) * j[:k] - k) * cp[..., 1 : k + 1] * b[..., k - 1 :: -1]
+        # cumsum adds left to right whatever the shape, where sum's order
+        # depends on it: a broadcast call adds as one call per alpha does
+        b[..., k] = np.cumsum(terms, axis=-1)[..., -1] / (k * c0)
+    return b
 
 
 def inverse_scaling_series(c, d):
@@ -83,51 +55,15 @@ def inverse_scaling_series(c, d):
     ``c_0 > 0``, along the last axis (one row per state for a 2-D ``c``).
     Returns ``a`` with ``a[0] = 0``; ``a[1] = c_0**0.25``.
     """
-    c = np.asarray(c, dtype=float)
-    if np.any(c[..., 0] <= 0):
-        raise ValueError("constant term of the squared singular value series must be positive")
-    c0 = c[..., :1]
-    u = np.zeros(c.shape[:-1] + (d + 1,))
-    u[..., 1 : c.shape[-1]] = c[..., 1 : d + 1] / c0
-    root = c0 ** 0.25 * _series_exp(0.25 * _series_log1p(u, d), d)
-    a = np.zeros_like(u)
-    a[..., 1:] = root[..., :d]
-    return a
-
-
-def series_reversion(a, d):
-    """Coefficients ``A`` of the inverse series: ``A(a(z)) = z + O(z^(d+1))``.
-
-    Triangular solve by degree matching; requires ``a[0] = 0`` and ``a[1] != 0``.
-    Coefficients run along the last axis, as in :func:`series_product`.
-    """
-    a = np.asarray(a, dtype=float)
-    if np.any(a[..., 0] != 0.0):
-        raise ValueError("series to revert must have no constant term")
-    if np.any(a[..., 1] == 0.0):
-        raise ValueError("series to revert must have a nonzero leading coefficient")
-    apad = np.zeros(a.shape[:-1] + (d + 1,))
-    m = min(a.shape[-1], d + 1)
-    apad[..., :m] = a[..., :m]
-    apow = [None, apad.copy()]
-    for m in range(2, d + 1):
-        apow.append(series_product(apow[-1], apad, d))
-    a1 = apad[..., 1]
-    A = np.zeros_like(apad)
-    A[..., 1] = 1.0 / a1
-    # acc[k] sums A_m (a^m)_k over the m < k found so far, in increasing m
-    acc = np.zeros_like(apad)
-    for m in range(1, d):
-        acc[..., m + 1 :] += A[..., m : m + 1] * apow[m][..., m + 1 :]
-        A[..., m + 1] = -acc[..., m + 1] / (a1 ** (m + 1))
-    return A
+    root = series_power(c, 0.25, d - 1)
+    return np.concatenate([np.zeros_like(root[..., :1]), root], axis=-1)
 
 
 def assemble_scaling_coeffs(A_per_state, n, d):
     """Sparse scaling-map coefficient matrices as a :class:`PolyMap`.
 
-    ``A_per_state`` is an ``(n, d+1)`` array of reverted series (row i holds
-    ``A^{(i)}``).  Degree k places ``A_k^{(i)}`` in row i at the column of
+    ``A_per_state`` is an ``(n, d+1)`` array of forward scaling series (row i
+    holds ``A^{(i)}``).  Degree k places ``A_k^{(i)}`` in row i at the column of
     ``z_i^(k)``, i.e. column ``(i-1)(n^k - 1)/(n - 1) + 1`` in 1-based terms.
     """
     A_per_state = np.atleast_2d(np.asarray(A_per_state, dtype=float))
@@ -150,5 +86,13 @@ def compose_balancing(transform, scaling_map, d):
 
 
 def scaling_series_for(sq_sv, d):
-    """Forward scaling series for every state: inverse series, then reversion."""
-    return series_reversion(inverse_scaling_series(sq_sv.coeffs, d), d)
+    """Forward scaling series for every state, by Lagrange inversion.
+
+    ``A_k = (1/k) [z^(k-1)] c(z)**(-k/4)``: row ``k - 1`` of one
+    :func:`series_power` call over ``alpha = -1/4, ..., -d/4``.
+    """
+    k = np.arange(1, d + 1)
+    powers = series_power(sq_sv.coeffs, -k[:, None] / 4.0, d - 1)  # (k, state, degree)
+    A = np.zeros((powers.shape[1], d + 1))
+    A[:, 1:] = powers[k - 1, :, k - 1].T / k
+    return A

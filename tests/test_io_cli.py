@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -568,3 +569,65 @@ class TestCli:
         rows = run_bench([4, 16], d_energy=3, repetitions=1, seed=0)
         assert rows[1]["total"] >= rows[0]["total"]
         assert all("energy_var" in r for r in rows)
+
+
+WRITE_ARGV = {
+    "export": ["export", "--model", "pendulum:3", "--out", "{out}"],
+    "balance": ["balance", "--model", "pendulum:3", "--degree", "2", "--out", "{out}"],
+    "reduce": ["reduce", "--artifact", "{art}", "-r", "1", "--out", "{out}"],
+    "simulate": ["simulate", "model:pendulum:3", "--tspan", "0,0.5", "--samples", "5",
+                 "--out", "{out}"],
+    "compare": ["compare", "--reference", "model:pendulum:3", "--candidate", "model:pendulum:3",
+                "--tspan", "0,0.5", "--samples", "5", "--out-prefix", "{out}"],
+    "bench": ["bench", "--sizes", "4", "--degree", "2", "--out", "{out}"],
+}
+
+
+class TestWriteErrors:
+    """An output that cannot be written is a write_error (exit 6), never a traceback."""
+
+    @staticmethod
+    def run(command, out, pendulum_run, tmp_path, capsys):
+        """Run ``command`` writing to ``out``; the path of its first written file and the error."""
+        art = tmp_path / "art.json"
+        save_balance(pendulum_run[0], art)
+        assert main([a.format(out=out, art=art) for a in WRITE_ARGV[command]]) == 6
+        first = f"{out}_reference.csv" if command == "compare" else out
+        return first, json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", list(WRITE_ARGV))
+    def test_missing_parent_directory(self, command, pendulum_run, tmp_path, capsys):
+        out = tmp_path / "missing" / "x"
+        first, err = self.run(command, out, pendulum_run, tmp_path, capsys)
+        assert err == {"error": "write_error",
+                       "reason": f"cannot write '{first}': No such file or directory"}
+
+    @pytest.mark.parametrize("command", list(WRITE_ARGV))
+    def test_directory_as_output(self, command, pendulum_run, tmp_path, capsys):
+        out = tmp_path / "x"
+        # compare's first output is <prefix>_reference.csv
+        (tmp_path / ("x_reference.csv" if command == "compare" else "x")).mkdir()
+        first, err = self.run(command, out, pendulum_run, tmp_path, capsys)
+        assert err == {"error": "write_error", "reason": f"cannot write '{first}': Is a directory"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["balance", "--file", "{missing}", "--degree", "2"],
+         ["reduce", "--artifact", "{missing}", "-r", "1"],
+         ["simulate", "file:{missing}"]],
+        ids=["balance-file", "reduce-artifact", "simulate-file"],
+    )
+    def test_missing_input_is_still_parse_error(self, argv, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        args = [a.format(missing=missing) for a in argv] + ["--out", str(tmp_path / "o")]
+        assert main(args) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse_error",
+                       "reason": f"cannot read '{missing}': No such file or directory"}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_device(self, capsys):
+        # opening succeeds; the flush on closing fails, with no path attached
+        assert main(["export", "--model", "pendulum:3", "--out", "/dev/full"]) == 6
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "write_error", "reason": "cannot write: No space left on device"}
