@@ -255,7 +255,9 @@ def main(argv=None):
         print(json.dumps({"error": "contract_violation", "reason": str(exc)}), file=_sys.stderr)
         return EXIT_CONTRACT
     except (FormatError, KeyError, ValueError) as exc:
-        print(json.dumps({"error": "parse_error", "reason": str(exc)}), file=_sys.stderr)
+        # str() of a KeyError is the repr of its message
+        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+        print(json.dumps({"error": "parse_error", "reason": str(reason)}), file=_sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         # every failed read is a FormatError, so this failed a write (on a flush: no path)

@@ -1,8 +1,7 @@
 """Series solutions of the controllability and observability energy PDEs.
 
 Both energies are stored as ``E(x) = 1/2 sum_k v_k . x^(k)`` with symmetric
-degree-k coefficient vectors ``v_k`` in R^(n^k).  The degree-2 terms come from
-the standard Gramian Lyapunov equations.  Both PDEs have the form
+degree-k coefficient vectors ``v_k`` in R^(n^k).  Both PDEs have the form
 ``dE/dx f + 1/2 |rho(x)|^2 = 0``, with ``rho = h`` for observability and
 ``rho = (dE/dx g)^T`` for controllability, so one loop computes every higher
 degree of both (:func:`_energy_series`).  Degree k is one solve against the
@@ -15,18 +14,19 @@ quadratic term pairs the degree-s parts ``rho_s`` of ``rho``.  The contract of
 record is the residual of the PDE, which :func:`hjb_residual` evaluates
 directly.
 
-All k-way solves go through one Bartels-Stewart solver on the complex Schur
-form ``A^T = Z T Z^H``, with ``T`` upper triangular and ``Z`` unitary.  It is
-backward stable for non-normal linearizations.  The Schur form is computed
-once per energy and reused for every degree.  The solver changes basis by
-``Z^H`` on each Kronecker slot, back-substitutes on ``T``, and changes back
-by ``Z``.  Because right-hand side and solution are symmetric tensors, the
-back-substitution peels the first slot from the last index down and solves,
-at step ``i``, only the entries whose largest index is ``i``: a
-(k-1)-way problem on the leading ``(i+1)``-block of ``T`` shifted by
-``T[i, i]``.  The 2-way problems at the bottom of the recursion are
-triangular Sylvester equations (LAPACK ``ztrsyl``).  A vanishing sum of k
-eigenvalues (a resonance) shows up on the diagonal of ``T`` and raises
+All k-way solves, the Gramians' (k = 2) included, go through one
+Bartels-Stewart solver on the complex Schur form ``A^T = Z T Z^H``, with
+``T`` upper triangular and ``Z`` unitary.  It is backward stable for
+non-normal linearizations.  Each Schur form serves every degree solved
+against its operator, and its diagonal gives the Hurwitz check.  The solver
+changes basis by ``Z^H`` on each Kronecker slot, back-substitutes on ``T``,
+and changes back by ``Z``.  Because right-hand side and solution are
+symmetric tensors, the back-substitution peels the first slot from the last
+index down and solves, at step ``i``, only the entries whose largest index
+is ``i``: a (k-1)-way problem on the leading ``(i+1)``-block of ``T``
+shifted by ``T[i, i]``.  The 2-way problems at the bottom of the recursion
+are triangular Sylvester equations (LAPACK ``ztrsyl``).  A vanishing sum of
+k eigenvalues (a resonance) shows up on the diagonal of ``T`` and raises
 :class:`~nlbt.errors.ResonanceError`.
 """
 
@@ -321,40 +321,38 @@ def _energy_series(sys, fac, v2, rho, d):
 def solve_observability_energy(sys, d):
     """Observability energy to degree ``d``: solves ``dE/dx f + 1/2 h^T h = 0``.
 
-    Degree 2 is the observability Gramian Lyapunov equation
-    ``A^T W + W A + H_1^T H_1 = 0``; degree k >= 3 is a linear solve against
-    ``L_k(A)^T``, all degrees sharing one Schur form of ``A``.  The quadratic
-    term's parts are the output coefficients, ``rho_s = H_s``.
+    Degree k >= 2 is a linear solve against ``L_k(A)^T``, all degrees sharing
+    one Schur form of ``A``; k = 2 is the observability Gramian's Lyapunov
+    equation ``A^T W + W A + H_1^T H_1 = 0``.  The quadratic term's parts are
+    the output coefficients, ``rho_s = H_s``.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    A = sys.A
-    fac = SchurFactor(A)
+    fac = SchurFactor(sys.A)
     _check_hurwitz(fac.eigvals)
     H1 = sys.h.term(1)
-    W = la.solve_continuous_lyapunov(A.T, -H1.T @ H1)
+    W = solve_kway_transposed(fac, 2, -H1.T @ H1).reshape(fac.n, fac.n)
     return _energy_series(sys, fac, 0.5 * (W + W.T).reshape(-1), lambda v, k: sys.h.terms, d)
 
 
 def solve_controllability_energy(sys, d):
     """Controllability energy to degree ``d`` from the Hamilton-Jacobi equation.
 
-    Degree 2 inverts the controllability Gramian (the Hessian of the energy is
-    the Gramian inverse); each degree k >= 3 solves against
-    ``L_k(A + B B^T V_2)^T``, whose operator is nonsingular for a Hurwitz,
-    controllable linearization; all degrees share one Schur form.  The
-    quadratic input term ``1/2 |dE/dx g(x)|^2`` pairs the degree-s parts
-    ``rho_s`` of ``dE/dx g``, each one batched contraction per degree pair
-    over the stacked input coefficients ``G_p = [G_p^(1) ... G_p^(m)]``, for
-    constant and state-dependent ``g`` alike.
+    Degree 2 inverts the controllability Gramian, the k = 2 solve on the Schur
+    form of ``A^T`` (the Hessian of the energy is the Gramian inverse); each
+    degree k >= 3 solves against ``L_k(A + B B^T V_2)^T``, whose operator is
+    nonsingular for a Hurwitz, controllable linearization, all sharing one
+    Schur form.  The quadratic input term ``1/2 |dE/dx g(x)|^2`` pairs the
+    degree-s parts ``rho_s`` of ``dE/dx g``, each one batched contraction per
+    degree pair over the stacked input coefficients ``G_p = [G_p^(1) ...
+    G_p^(m)]``, for constant and state-dependent ``g`` alike.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    n = sys.n
-    A = sys.A
-    _check_hurwitz(np.linalg.eigvals(A))
-    B = sys.B
-    Wc = la.solve_continuous_lyapunov(A, -B @ B.T)
+    n, A, B = sys.n, sys.A, sys.B
+    gram = SchurFactor(A.T)  # for A Wc + Wc A^T + B B^T = 0
+    _check_hurwitz(gram.eigvals)
+    Wc = solve_kway_transposed(gram, 2, -B @ B.T).reshape(n, n)
     Wc = 0.5 * (Wc + Wc.T)
     cond = np.linalg.cond(Wc)
     if not np.isfinite(cond) or cond > 1e13:

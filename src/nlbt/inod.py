@@ -110,25 +110,24 @@ def linear_balancing(Ec, Eo):
     """Linear input-normal/output-diagonal stage via square-root balancing.
 
     Returns ``(T1, T1_inverse, hankel)`` with ``T1^T V2(Ec) T1 = I`` and
-    ``T1^T V2(Eo) T1 = diag(hankel**2)``.  The inverse comes from the SVD
-    factors, not a matrix inversion.  Each column of ``T1`` is signed so that
-    its first entry within a relative 1e-12 of the column's largest magnitude
-    is positive.  Raises :class:`HypothesisViolation` for indefinite Hessians
-    or repeated/zero Hankel singular values.
+    ``T1^T V2(Eo) T1 = diag(hankel**2)``.  ``V2(Ec)`` is the Gramian inverse:
+    its Cholesky factor ``V2 = R R^T`` gives the Gramian's factor ``R^-T``,
+    so the SVD of ``(R^-1 L_o)^T`` and ``T1 = R^-T V`` take two triangular
+    solves and no inversion; the inverse comes from the SVD factors.  Each
+    column of ``T1`` is signed so that its first entry within a relative
+    1e-12 of the column's largest magnitude is positive.  Raises
+    :class:`HypothesisViolation` for indefinite Hessians or repeated/zero
+    Hankel singular values.
     """
-    V2 = Ec.hessian
-    W2 = Eo.hessian
     try:
-        # V2 is the Gramian inverse; factor the Gramian itself
-        Wc = la.solve(V2, np.eye(V2.shape[0]), assume_a="pos")
-        Lc = la.cholesky(Wc, lower=True)
-        Lo = la.cholesky(W2, lower=True)
+        R = la.cholesky(Ec.hessian, lower=True)
+        Lo = la.cholesky(Eo.hessian, lower=True)
     except la.LinAlgError as exc:
         raise HypothesisViolation(
             "energy Hessians are not positive definite; the linearization is "
             "not minimal"
         ) from exc
-    U, s, Vh = la.svd(Lo.T @ Lc)
+    U, s, Vh = la.svd(la.solve_triangular(R, Lo, lower=True).T)
     if s[-1] <= _GAP_RTOL * s[0]:
         raise HypothesisViolation(
             f"Hankel singular value {s[-1]:.3g} is numerically zero"
@@ -138,7 +137,7 @@ def linear_balancing(Ec, Eo):
             "repeated Hankel singular values: "
             + ", ".join(f"{x:.6g}" for x in s)
         )
-    T1 = Lc @ Vh.T
+    T1 = la.solve_triangular(R, Vh.T, lower=True, trans="T")
     T1inv = (U / s).T @ Lo.T
     # canonical column signs for reproducibility: the first entry whose
     # magnitude is within _SIGN_TIE_RTOL of the column's largest is positive,

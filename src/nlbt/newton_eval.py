@@ -17,10 +17,11 @@ scaling map), :func:`eval_forward_balancing_newton` (``Tbar``),
 
 Each scaling-Newton iterate costs one pass of
 :meth:`~nlbt.inod.SqSingularValueFns.value_and_derivative`, which gives the
-residual and the diagonal Jacobian together; the lift to ``(x, dx/dzbar)``
-reuses the converged iterate's diagonal.  The n x n solves go through
-``numpy.linalg.solve``: at the small n this path serves, scipy's input
-checks cost more than the LAPACK call.
+residual and the diagonal Jacobian together.  The solve returns the Newton
+step from the first iterate within ``tol``, so the scaling is accurate to
+rounding at no extra pass; the lift to ``(x, dx/dzbar)`` reuses its
+diagonal.  The n x n solves go through ``numpy.linalg.solve``: at the small
+n this path serves, scipy's input checks cost more than the LAPACK call.
 """
 
 import numpy as np
@@ -67,28 +68,27 @@ def _solve_scaling(sq_sv, zbar, tol, max_iter):
     """:func:`newton_scaling`'s ``z``, and the diagonal of ``dzbar/dz`` there.
 
     One sigma^2 pass at ``zbar`` seeds the iteration; after that every
-    iterate is evaluated once, and the pass at the converged one also gives
-    the returned diagonal.
+    iterate is evaluated once.  The first one within ``tol`` returns its own
+    Newton step ``z - resid / diag``, so ``z`` is accurate to rounding, and
+    the diagonal of that pass, checked to be nonsingular.
     """
     zbar = np.asarray(zbar, dtype=float)
     s2_guess = sq_sv.value_and_derivative(zbar)[0]
     # outside the series' positivity region, seed with the origin scaling
     s2_guess = np.where(s2_guess > 0, s2_guess, sq_sv.coeffs[:, 0])
     z = zbar / s2_guess ** 0.25
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         q, diag = _scaling_terms(sq_sv, z)
         resid = z * q - zbar
-        if abs(resid).max() <= tol:
-            return z, diag
         if (abs(diag) < 1e-14).any():
             raise NewtonDivergence(
                 "singular scaling Jacobian entry", last_iterate=z, residual=resid
             )
-        z = z - resid / diag
-    q, diag = _scaling_terms(sq_sv, z)
-    resid = z * q - zbar
-    if abs(resid).max() <= tol:
-        return z, diag
+        step = resid / diag
+        if abs(resid).max() <= tol:
+            return z - step, diag
+        if it < max_iter:
+            z = z - step
     raise NewtonDivergence(
         f"scaling Newton iteration did not reach tol={tol:g}",
         last_iterate=z,
@@ -119,8 +119,6 @@ def _lift(inod, zbar, tol, max_iter):
     so the chain rule divides the columns of ``dPhi/dz`` by that diagonal.
     """
     z, diag = _solve_scaling(inod.sq_sv, zbar, tol, max_iter)
-    if (abs(diag) < 1e-14).any():
-        raise NewtonDivergence("singular scaling Jacobian entry", last_iterate=z)
     return inod.transform(z), inod.transform.jacobian(z) / diag[None, :]
 
 

@@ -133,12 +133,15 @@ def white_noise(amp, seed, hold_dt=0.01, m=1):
 
 def signal(kind, m=1, **params):
     """Signal factory: ``zero``, ``sinusoid(amp, freq)``, ``white_noise(amp, seed[, hold_dt])``."""
-    if kind == "zero":
-        return zero_signal(m)
-    if kind == "sinusoid":
-        return sinusoid(params["amp"], params["freq"], m)
-    if kind == "white_noise":
-        return white_noise(params["amp"], params["seed"], params.get("hold_dt", 0.01), m)
+    try:
+        if kind == "zero":
+            return zero_signal(m)
+        if kind == "sinusoid":
+            return sinusoid(params["amp"], params["freq"], m)
+        if kind == "white_noise":
+            return white_noise(params["amp"], params["seed"], params.get("hold_dt", 0.01), m)
+    except KeyError as exc:
+        raise KeyError(f"signal {kind!r} needs parameter {exc.args[0]!r}") from None
     raise ValueError(f"unknown signal kind {kind!r}")
 
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as la
 
 from conftest import ray_slope
-from nlbt import models
+from nlbt import energy, models
 from nlbt.energy import (
     EnergyFunction,
     SchurFactor,
@@ -16,7 +16,9 @@ from nlbt.energy import (
     solve_observability_energy,
 )
 from nlbt.errors import HypothesisViolation, ResonanceError
+from nlbt.inod import linear_balancing
 from kron_oracles import kway_lyap_apply, kway_lyap_matrix
+from ulp_probe import relative_spread, ulp_floor
 from nlbt.kron import (
     ControlAffineSystem,
     PolyMap,
@@ -379,3 +381,86 @@ class TestBeamConditioning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             balance(models.beam_single_element(), 2)
+
+
+class TestOneLyapunovSolver:
+    """Both Gramians are the k = 2 case of the one Schur-form solver."""
+
+    def test_balance_makes_three_schur_forms(self, monkeypatch):
+        import scipy.linalg._solvers as solvers
+
+        sys = models.double_pendulum(3)
+        calls = {"schur": 0, "lyapunov": 0}
+        schur, lyapunov = la.schur, la.solve_continuous_lyapunov
+
+        def counted_schur(*args, **kwargs):
+            calls["schur"] += 1
+            return schur(*args, **kwargs)
+
+        def counted_lyapunov(*args, **kwargs):
+            calls["lyapunov"] += 1
+            return lyapunov(*args, **kwargs)
+
+        # scipy's Lyapunov solver calls its own imported schur
+        for module in (la, solvers):
+            monkeypatch.setattr(module, "schur", counted_schur)
+        monkeypatch.setattr(la, "solve_continuous_lyapunov", counted_lyapunov)
+        balance(sys, 3)
+        # A for the observability energy, A^T for the controllability
+        # Gramian, A + B B^T V_2 for the controllability energy's degree 3
+        assert calls == {"schur": 3, "lyapunov": 0}
+
+    @staticmethod
+    def _gramian(solve, sys, monkeypatch):
+        """The degree-2 solve of ``solve``, which must be one k = 2 solve."""
+        solved = []
+
+        def spy(fac, k, rhs):
+            v = solve_kway_transposed(fac, k, rhs)
+            solved.append((k, v))
+            return v
+
+        with monkeypatch.context() as patch:
+            patch.setattr(energy, "solve_kway_transposed", spy)
+            solve(sys, 2)
+        ((k, W),) = solved
+        assert k == 2
+        W = W.reshape(sys.n, sys.n)
+        return 0.5 * (W + W.T)
+
+    @staticmethod
+    def _hankel_values(sys):
+        """This package's Hankel values and an independent scipy square-root balancing's."""
+        A, B, C = sys.A, sys.B, sys.C
+        Wc = la.solve_continuous_lyapunov(A, -B @ B.T)
+        Wo = la.solve_continuous_lyapunov(A.T, -C.T @ C)
+        Lc = la.cholesky(0.5 * (Wc + Wc.T), lower=True)
+        Lo = la.cholesky(0.5 * (Wo + Wo.T), lower=True)
+        Ec = solve_controllability_energy(sys, 2)
+        Eo = solve_observability_energy(sys, 2)
+        return {
+            "nlbt": linear_balancing(Ec, Eo)[2],
+            "scipy": la.svd(Lo.T @ Lc, compute_uv=False),
+        }
+
+    @pytest.mark.parametrize("make", [
+        models.beam_single_element,
+        lambda: models.double_pendulum(5),
+        lambda: models.random_stable_poly(24, 2, 0),
+    ], ids=["beam", "double-pendulum-5", "random-24"])
+    def test_gramians_backward_stable_and_hankel_at_rounding_floor(self, make, monkeypatch):
+        sys = make()
+        n, A = sys.n, sys.A
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", la.LinAlgWarning)
+            Wc = self._gramian(solve_controllability_energy, sys, monkeypatch)
+            Wo = self._gramian(solve_observability_energy, sys, monkeypatch)
+            hankel = self._hankel_values(sys)
+            floor = ulp_floor(sys, self._hankel_values)
+        for M, W, Q in ((A, Wc, sys.B @ sys.B.T), (A.T, Wo, sys.C.T @ sys.C)):
+            resid = np.linalg.norm(M @ W + W @ M.T + Q)
+            scale = 2 * np.linalg.norm(M) * np.linalg.norm(W) + np.linalg.norm(Q)
+            assert resid <= 10 * n * np.finfo(float).eps * scale
+        # two routes each accurate to their rounding floor agree within a
+        # small multiple of the larger one
+        assert relative_spread(hankel.values()) <= 4 * max(floor.values())

@@ -563,6 +563,27 @@ class TestCli:
         assert err["reason"] == f"n_samples must be at least 2, got {samples}"
         assert not out.exists()
 
+    def test_unknown_model_reason_is_the_message(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["export", "--model", "nosuch", "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse_error", "reason": "unknown model 'nosuch'"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, missing", [
+        ("sinusoid:amp=1", "freq"), ("white_noise:amp=1", "seed"),
+    ])
+    def test_missing_signal_parameter_is_named(self, spec, missing, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        kind = spec.partition(":")[0]
+        assert main([
+            "simulate", "model:pendulum:3", "--input", spec, "--out", str(out),
+        ]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse_error",
+                       "reason": f"signal '{kind}' needs parameter '{missing}'"}
+        assert not out.exists()
+
     def test_bench_time_monotone(self, tmp_path):
         from nlbt.bench import run_bench
 

@@ -145,6 +145,14 @@ class TestNewtonScaling:
             errs.append(np.max(np.abs(z - z_star)))
         assert errs[1] <= 100 * errs[0] ** 2 + 1e-14
 
+    @pytest.mark.parametrize("radius", [0.02, 0.2, 0.5])
+    def test_returned_scaling_accurate_to_rounding(self, radius, pendulum7):
+        # the solve returns the Newton step from its first iterate within
+        # tol, so the default tol=1e-10 still leaves a rounding-level residual
+        zbar = radius * np.array([0.6, -0.8])
+        z = newton_scaling(pendulum7.sq_sv, zbar)
+        assert np.max(np.abs(eval_inverse_scaling(pendulum7.sq_sv, z) - zbar)) <= 1e-15
+
     def test_divergence_reported(self):
         c = SqSingularValueFns(np.array([[1.0, -2.0]]))  # sigma^2 hits zero at z = 0.5
         with pytest.raises(NewtonDivergence):
@@ -222,9 +230,9 @@ class TestBalancedRhs:
         npt.assert_allclose(y, 0, atol=1e-12)
 
     def test_singular_scaling_jacobian_reported(self, pendulum_pipeline, monkeypatch):
-        # zbar = 0 solves the scaling at the initial guess, so only the lift
-        # reads the diagonal; at z = 0 it is (sigma^2)**(1/4), here (1, 1e-16),
-        # whose second entry is numerically zero
+        # zbar = 0 solves the scaling at the initial guess, whose diagonal the
+        # solve checks before it returns; at z = 0 it is (sigma^2)**(1/4),
+        # here (1, 1e-16), whose second entry is numerically zero
         monkeypatch.setattr(
             SqSingularValueFns,
             "value_and_derivative",
