@@ -1,13 +1,15 @@
 """Command-line surface for the balancing pipeline.
 
 Subcommands: ``export``, ``balance``, ``reduce``, ``simulate``, ``compare``,
-``bench``.  Exit codes: 0 success, 2 hypothesis violation, 3 parse error,
-4 resource refusal, 5 contract violation (a computed transform failed its
-residual contracts), 6 write error (an output file could not be written).
+``bench``.  Trajectories and the bench table are written as CSV with 17
+significant digits (:func:`nlbt.sim.save_csv`).  Exit codes: 0 success, 2
+hypothesis violation, 3 parse error, 4 resource refusal (a bench size whose
+memory estimate is over the fixed 8 GiB budget), 5 contract violation (a
+computed transform failed its residual contracts), 6 write error (an output
+file could not be written).
 """
 
 import argparse
-import csv
 import json
 import sys as _sys
 
@@ -27,7 +29,7 @@ from .serialization import (
     save_rom,
     save_system,
 )
-from .sim import l2_error, signal, simulate_system
+from .sim import l2_error, save_csv, signal, simulate_system
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -160,18 +162,8 @@ def cmd_compare(args):
 
 def cmd_bench(args):
     sizes = [int(v) for v in args.sizes.split(",")]
-    rows = run_bench(
-        sizes,
-        d_energy=args.degree,
-        repetitions=args.repetitions,
-        seed=args.seed,
-        budget_bytes=int(args.budget_gb * 2 ** 30),
-    )
-    fields = list(rows[0].keys())
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    rows = run_bench(sizes, d_energy=args.degree, repetitions=args.repetitions, seed=args.seed)
+    save_csv(args.out, list(rows[0]), [list(row.values()) for row in rows])
     slope = loglog_slope(rows) if len(rows) >= 2 else float("nan")
     print(f"bench over n={sizes}: total-time log-log slope {slope:.2f}; wrote {args.out}")
     return EXIT_OK
@@ -233,7 +225,6 @@ def build_parser():
     p.add_argument("--degree", type=int, default=3, help="energy-function degree")
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-gb", type=float, default=8.0)
     p.add_argument("--out", default="bench.csv")
     p.set_defaults(func=cmd_bench)
 

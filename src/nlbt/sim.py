@@ -2,10 +2,9 @@
 
 Every trajectory is integrated by one method: scipy's adaptive eighth-order
 Dormand–Prince pair (DOP853), sampled from its dense output on a uniform grid.
+Every CSV nlbt writes, a trajectory or the ``nlbt bench`` table, is written
+by :func:`save_csv` in one format.
 """
-
-import io
-import os
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -19,6 +18,7 @@ __all__ = [
     "white_noise",
     "signal",
     "l2_error",
+    "save_csv",
 ]
 
 
@@ -43,52 +43,34 @@ class Trajectory:
                 raise ValueError(f"{name} sample count does not match the grid")
 
     def to_csv(self, path_or_buffer):
-        """Write ``t,x1..xn,y1..yp,u1..um`` with 17 significant digits."""
-        cols = ["t"]
-        data = [self.t]
-        for j in range(self.x.shape[1]):
-            cols.append(f"x{j + 1}")
-            data.append(self.x[:, j])
-        if self.y is not None:
-            for j in range(self.y.shape[1]):
-                cols.append(f"y{j + 1}")
-                data.append(self.y[:, j])
-        if self.u is not None:
-            for j in range(self.u.shape[1]):
-                cols.append(f"u{j + 1}")
-                data.append(self.u[:, j])
-        close = False
-        if isinstance(path_or_buffer, (str, bytes, os.PathLike)):
-            fh = open(path_or_buffer, "w")
-            close = True
-        else:
-            fh = path_or_buffer
-        try:
-            fh.write(",".join(cols) + "\n")
-            for row in zip(*data):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-        finally:
-            if close:
-                fh.close()
+        """Write ``t,x1..xn,y1..yp,u1..um`` to a path or text buffer with :func:`save_csv`."""
+        names, cols = ["t"], [self.t[:, None]]
+        for prefix, arr in (("x", self.x), ("y", self.y), ("u", self.u)):
+            if arr is not None:
+                names += [f"{prefix}{j + 1}" for j in range(arr.shape[1])]
+                cols.append(arr)
+        save_csv(path_or_buffer, names, np.hstack(cols))
 
     @classmethod
     def from_csv(cls, path_or_buffer):
-        if isinstance(path_or_buffer, (str, bytes, os.PathLike)):
-            with open(path_or_buffer) as fh:
-                text = fh.read()
-        else:
-            text = path_or_buffer.read()
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        header = lines[0].split(",")
-        raw = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
-        cols = {name: raw[:, j] for j, name in enumerate(header)}
-        nx = sum(1 for c in header if c.startswith("x"))
-        p = sum(1 for c in header if c.startswith("y"))
-        m = sum(1 for c in header if c.startswith("u"))
-        x = np.column_stack([cols[f"x{j + 1}"] for j in range(nx)])
-        y = np.column_stack([cols[f"y{j + 1}"] for j in range(p)]) if p else None
-        u = np.column_stack([cols[f"u{j + 1}"] for j in range(m)]) if m else None
-        return cls(cols["t"], x, y=y, u=u)
+        """Read what :meth:`to_csv` wrote, from a path or a text buffer."""
+        data = np.atleast_1d(np.genfromtxt(path_or_buffer, delimiter=",", names=True))
+
+        def block(prefix):
+            cols = [data[name] for name in data.dtype.names if name[0] == prefix]
+            return np.column_stack(cols) if cols else None
+
+        return cls(data["t"], block("x"), y=block("y"), u=block("u"))
+
+
+def save_csv(path_or_buffer, names, table):
+    """Write a float table as CSV: a ``names`` header line, then rows of ``%.17g`` values.
+
+    Seventeen significant digits round-trip IEEE doubles bit-exactly.  This is
+    the one CSV format of nlbt: trajectories and the ``nlbt bench`` table.
+    """
+    np.savetxt(path_or_buffer, table, fmt="%.17g", delimiter=",",
+               header=",".join(names), comments="")
 
 
 def zero_signal(m=1):

@@ -519,9 +519,9 @@ class TestCli:
         rows = out.read_text().strip().splitlines()
         assert rows[0].startswith("n,")
         assert len(rows) == 3
-        # absurd budget forces a refusal
+        # 40·8·1000³ B is over the fixed 8 GiB: refused before a system is drawn
         assert main([
-            "bench", "--sizes", "64", "--degree", "3", "--budget-gb", "0.000001",
+            "bench", "--sizes", "1000", "--degree", "3",
             "--out", str(tmp_path / "b2.csv"),
         ]) == 4
 
@@ -583,6 +583,20 @@ class TestCli:
         assert err == {"error": "parse_error",
                        "reason": f"signal '{kind}' needs parameter '{missing}'"}
         assert not out.exists()
+
+    def test_bench_table_text(self, tmp_path, monkeypatch):
+        rows = [
+            {"n": 8, "energy": 0.1, "energy_var": 0.0, "total": 1 / 3},
+            {"n": 96, "energy": 2.0000000000000004, "energy_var": 5e-324, "total": 12345.678},
+        ]
+        monkeypatch.setattr("nlbt.cli.run_bench", lambda sizes, **kw: rows)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "8,96", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "n,energy,energy_var,total"
+        assert lines[1:] == [",".join("%.17g" % v for v in r.values()) for r in rows]
+        back = np.loadtxt(out, delimiter=",", skiprows=1)
+        npt.assert_array_equal(back, [list(r.values()) for r in rows])
 
     def test_bench_time_monotone(self, tmp_path):
         from nlbt.bench import run_bench

@@ -251,3 +251,51 @@ class TestTrajectoryCsv:
         buf = io.StringIO()
         traj.to_csv(buf)
         assert buf.getvalue().splitlines()[0] == "t,x1,x2,y1,u1"
+
+    # a 17-digit value, -0.0 and a subnormal in every column kind
+    GOLDEN_T = np.array([0.0, 0.1, 2.0 / 3.0])
+    GOLDEN_X = np.array([[1 / 3, -0.0], [-0.0, 5e-324], [1.1125369292536007e-308, -1e300]])
+    GOLDEN_Y = np.array([[np.pi], [-0.0], [1e-320]])
+    GOLDEN_U = np.array([[-2.5], [0.0], [1e22]])
+    GOLDEN_ROWS = [
+        "0,0.33333333333333331,-0",
+        "0.10000000000000001,-0,4.9406564584124654e-324",
+        "0.66666666666666663,1.1125369292536007e-308,-1.0000000000000001e+300",
+    ]
+
+    @pytest.mark.parametrize(
+        "with_y, with_u, header, tails",
+        [
+            (False, False, "t,x1,x2", ["", "", ""]),
+            (False, True, "t,x1,x2,u1", [",-2.5", ",0", ",1e+22"]),
+            (True, True, "t,x1,x2,y1,u1",
+             [",3.1415926535897931,-2.5", ",-0,0", ",9.9998886718268301e-321,1e+22"]),
+        ],
+        ids=["x", "x-u", "x-y-u"],
+    )
+    def test_golden_text(self, with_y, with_u, header, tails, tmp_path):
+        traj = Trajectory(
+            self.GOLDEN_T, self.GOLDEN_X,
+            y=self.GOLDEN_Y if with_y else None, u=self.GOLDEN_U if with_u else None,
+        )
+        expected = "".join(
+            line + "\n" for line in [header] + [r + s for r, s in zip(self.GOLDEN_ROWS, tails)]
+        )
+        path = tmp_path / "t.csv"
+        traj.to_csv(path)
+        assert path.read_bytes() == expected.encode("ascii")
+        back = Trajectory.from_csv(io.StringIO(expected))
+        for got, ref in ((back.t, traj.t), (back.x, traj.x), (back.y, traj.y), (back.u, traj.u)):
+            if ref is None:
+                assert got is None
+            else:
+                # bit for bit: keeps the sign of -0.0 and the subnormals
+                npt.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_single_row_round_trip(self):
+        traj = Trajectory(np.array([0.5]), np.array([[1.0, -2.0]]), u=np.array([[0.25]]))
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        back = Trajectory.from_csv(io.StringIO(buf.getvalue()))
+        assert back.x.shape == (1, 2) and back.u.shape == (1, 1) and back.y is None
+        npt.assert_array_equal(back.x, traj.x)
