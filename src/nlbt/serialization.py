@@ -23,11 +23,13 @@ one string, ``json.dumps(doc, indent=1)`` and a newline.  The documents:
   holds all n rows loads to its first r), ``x_r0`` and ``hankel``.
 
 Every reader checks that the document is an object of its version, that
-every field is present and decodes, and that every block has its shape and
-every shape agrees with the system's n or the ROM's r; the ``kps-1`` reader
-also checks ``degree`` against the largest block degree.  Otherwise it raises
-:class:`FormatError`, whose message names the document and the field.  A
-file that cannot be read is a :class:`FormatError` naming its path.
+every field is present and decodes, that every number is finite, and that
+every block has its shape and every shape agrees with the system's n or the
+ROM's r; the ``kps-1`` reader also checks ``degree`` against the largest
+block degree.  Otherwise it raises :class:`FormatError`, whose message names
+the document and the field.  A file that cannot be read is a
+:class:`FormatError` naming its path.  A writer raises :class:`FormatError`
+on a NaN or an infinity before it writes anything.
 """
 
 import json
@@ -68,13 +70,18 @@ class FormatError(ValueError):
 
 
 def _encode_matrix(W):
-    return [[format(float(v), ".17g") for v in row] for row in np.atleast_2d(W)]
+    W = np.atleast_2d(W)
+    if not np.isfinite(W).all():
+        raise FormatError(f"refusing to write a non-finite value in a {W.shape} block")
+    return [[format(float(v), ".17g") for v in row] for row in W]
 
 
 def _decode_matrix(rows, shape):
     W = np.array([[float(v) for v in row] for row in rows], dtype=float)
     if W.shape != shape:
         raise FormatError(f"coefficient block has shape {W.shape}, expected {shape}")
+    if not np.isfinite(W).all():
+        raise FormatError(f"{shape} block holds a non-finite value")
     return W
 
 
@@ -263,7 +270,8 @@ def balance_from_dict(obj):
     sys = _field(doc, obj, "system", system_from_dict)
     n = sys.n
     hankel = _field(doc, obj, "hankel", _decode_vector, n)
-    _field(doc, obj, "sigma_condition", float)  # derived from hankel
+    # derived from hankel: checked, not kept
+    _field(doc, obj, "sigma_condition", lambda v: _decode_matrix([[v]], (1, 1)))
     sq_sv = _field(doc, obj, "sq_sv", _decode_sq_sv, n, d_transf)
     Ec, Eo = _field(doc, obj, "energies", _decode_energies, n)
     Tbar = _field(doc, obj, "Tbar", _decode_map, n, n, n)

@@ -1,13 +1,17 @@
 """Time integration, input signals, trajectory containers, and error metrics.
 
-Every trajectory is integrated by one method: scipy's adaptive eighth-order
-Dormand–Prince pair (DOP853), sampled from its dense output on a uniform grid.
-Every CSV nlbt writes, a trajectory or the ``nlbt bench`` table, is written
-by :func:`save_csv` in one format.
+Every trajectory is integrated by one method: the adaptive eighth-order
+Dormand–Prince pair DOP853, sampled from its dense output on a uniform grid.
+The pair is nlbt's own port of scipy's (``nlbt._dop853``), which gives
+bit-identical samples without importing ``scipy.integrate``.  Every CSV nlbt
+writes, a trajectory or the ``nlbt bench`` table, is written by
+:func:`save_csv` in one format; a diverged trajectory's file ends with the
+line ``# diverged``.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
+
+from ._dop853 import dop853
 
 __all__ = [
     "Trajectory",
@@ -20,6 +24,8 @@ __all__ = [
     "l2_error",
     "save_csv",
 ]
+
+DIVERGED_FOOTER = "# diverged"  # the last line of a diverged trajectory's CSV
 
 
 class Trajectory:
@@ -43,34 +49,46 @@ class Trajectory:
                 raise ValueError(f"{name} sample count does not match the grid")
 
     def to_csv(self, path_or_buffer):
-        """Write ``t,x1..xn,y1..yp,u1..um`` to a path or text buffer with :func:`save_csv`."""
+        """Write ``t,x1..xn,y1..yp,u1..um`` to a path or text buffer with :func:`save_csv`.
+
+        A diverged trajectory ends with the comment line ``# diverged``; any
+        other is written without it.
+        """
         names, cols = ["t"], [self.t[:, None]]
         for prefix, arr in (("x", self.x), ("y", self.y), ("u", self.u)):
             if arr is not None:
                 names += [f"{prefix}{j + 1}" for j in range(arr.shape[1])]
                 cols.append(arr)
-        save_csv(path_or_buffer, names, np.hstack(cols))
+        save_csv(path_or_buffer, names, np.hstack(cols),
+                 footer=DIVERGED_FOOTER if self.diverged else "")
 
     @classmethod
     def from_csv(cls, path_or_buffer):
         """Read what :meth:`to_csv` wrote, from a path or a text buffer."""
-        data = np.atleast_1d(np.genfromtxt(path_or_buffer, delimiter=",", names=True))
+        if hasattr(path_or_buffer, "read"):
+            lines = path_or_buffer.read().splitlines()
+        else:
+            with open(path_or_buffer) as fh:
+                lines = fh.read().splitlines()
+        data = np.atleast_1d(np.genfromtxt(lines, delimiter=",", names=True))
 
         def block(prefix):
             cols = [data[name] for name in data.dtype.names if name[0] == prefix]
             return np.column_stack(cols) if cols else None
 
-        return cls(data["t"], block("x"), y=block("y"), u=block("u"))
+        return cls(data["t"], block("x"), y=block("y"), u=block("u"),
+                   diverged=lines[-1] == DIVERGED_FOOTER)
 
 
-def save_csv(path_or_buffer, names, table):
+def save_csv(path_or_buffer, names, table, footer=""):
     """Write a float table as CSV: a ``names`` header line, then rows of ``%.17g`` values.
 
     Seventeen significant digits round-trip IEEE doubles bit-exactly.  This is
-    the one CSV format of nlbt: trajectories and the ``nlbt bench`` table.
+    the one CSV format of nlbt: trajectories and the ``nlbt bench`` table.  A
+    non-empty ``footer`` is written as a last line of its own.
     """
     np.savetxt(path_or_buffer, table, fmt="%.17g", delimiter=",",
-               header=",".join(names), comments="")
+               header=",".join(names), footer=footer, comments="")
 
 
 def zero_signal(m=1):
@@ -142,10 +160,13 @@ def integrate(
     ``rhs(x, u_val)`` is the state derivative; ``u(t)`` the input signal;
     ``output(x)`` the optional output map.  ``t_span`` must be two finite
     times ``t0 < tf`` and ``n_samples`` at least 2; anything else raises
-    ``ValueError``.  Divergence (solver failure or non-finite states) is
-    flagged on the trajectory rather than raised, with the samples re-spaced
-    over the reached interval; the overflow on the way there raises no numpy
-    warning.
+    ``ValueError``, and so does an ``x0`` that is not 1-D and finite or a
+    negative ``abs_tol``; a ``rel_tol`` below ``100 eps`` warns and is raised
+    to it.  Divergence (solver failure or non-finite states) is flagged on
+    the trajectory rather than raised, with the samples re-spaced over the
+    reached interval; the overflow on the way there raises no numpy warning.
+    A right-hand side that is not finite at ``x0`` fails on the first step:
+    the trajectory is the initial sample alone.
     """
     x0 = np.asarray(x0, dtype=float)
     span = np.asarray(t_span, dtype=float)
@@ -159,15 +180,7 @@ def integrate(
         return rhs(x, u(t))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(
-            f,
-            (t0, tf),
-            x0,
-            method="DOP853",
-            rtol=rel_tol,
-            atol=abs_tol,
-            dense_output=True,
-        )
+        sol = dop853(f, t0, x0, tf, rel_tol, abs_tol)
         diverged = (not sol.success) or sol.t[-1] < tf or not np.all(np.isfinite(sol.y))
         t_end = min(sol.t[-1], tf)
         if t_end <= t0:
@@ -180,7 +193,7 @@ def integrate(
                 diverged=True,
             )
         grid = np.linspace(t0, t_end, n_samples)
-        xs = sol.sol(grid).T
+        xs = sol.sample(grid)
         if not np.all(np.isfinite(xs)):
             good = np.all(np.isfinite(xs), axis=1)
             last = int(np.argmin(good)) if not good.all() else xs.shape[0]

@@ -13,12 +13,17 @@ read lower.  So two trees are compared over alternating pairs like these.
 
 Run from the root of a checkout, with two trees that each hold ``src/nlbt``::
 
-    python tests/criterion6_pairs.py BASE_TREE CHANGE_TREE --pairs 10
+    python tests/criterion6_pairs.py BASE_TREE CHANGE_TREE --pairs 10 [--json PATH]
+
+``--json PATH`` also writes every run's readings, each side's median and
+quartiles per reading, and the environment: the Python, numpy and scipy
+versions, the BLAS thread variables the runs see and the CPU count.
 """
 
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -37,9 +42,13 @@ CHILD = (
 )
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1"}  # what every run sets on top of the caller's
+
+
 def run_rows(tree, sizes):
     """``run_bench`` rows from a fresh process that imports ``nlbt`` from ``tree/src``."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), **BLAS_ENV)
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, ",".join(map(str, sizes))],
         env=env, check=True, capture_output=True, text=True,
@@ -71,13 +80,48 @@ def compare(base, change, pairs, sizes=SIZES):
     return sides
 
 
-def summary(runs):
-    """``name: median [q1, q3]`` over the runs of one side."""
-    parts = []
+def quartiles(runs):
+    """``{name: {"median", "q1", "q3"}}`` over the runs of one side."""
+    out = {}
     for name in runs[0]:
         q1, med, q3 = np.percentile([r[name] for r in runs], [25, 50, 75])
-        parts.append(f"{name} {med:.4g} [{q1:.4g}, {q3:.4g}]")
-    return "\n  ".join(parts)
+        out[name] = {"median": float(med), "q1": float(q1), "q3": float(q3)}
+    return out
+
+
+def summary(runs):
+    """``name: median [q1, q3]`` over the runs of one side."""
+    return "\n  ".join(
+        f"{name} {q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]"
+        for name, q in quartiles(runs).items()
+    )
+
+
+def environment():
+    """What the readings depend on besides the trees: versions, BLAS threads, CPUs."""
+    import scipy
+
+    env = dict(os.environ, **BLAS_ENV)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads_env": {k: env.get(k) for k in THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def write_json(path, args, sizes, sides):
+    doc = {
+        "base": args.base,
+        "change": args.change,
+        "pairs": args.pairs,
+        "sizes": sizes,
+        "environment": environment(),
+        "runs": sides,
+        "summary": {side: quartiles(runs) for side, runs in sides.items()},
+    }
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def main(argv=None):
@@ -86,11 +130,14 @@ def main(argv=None):
     parser.add_argument("change", help="root of the changed tree (holds src/nlbt)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
+    parser.add_argument("--json", metavar="PATH", help="also write the runs and medians here")
     args = parser.parse_args(argv)
     sizes = [int(v) for v in args.sizes.split(",")]
     sides = compare(args.base, args.change, args.pairs, sizes)
     for side, runs in sides.items():
         print(f"{side} median [quartiles] over {len(runs)} runs:\n  {summary(runs)}")
+    if args.json:
+        write_json(args.json, args, sizes, sides)
     return sides
 
 

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -346,6 +347,58 @@ class TestMalformedDocuments:
         assert err == {"error": "parse_error",
                        "reason": f"ROM degree must be at least 1, got {degree}"}
         assert not out.exists()
+
+
+# (document, keys down to one number in it): one numeric field of each document
+NONFINITE_FIELDS = [
+    ("kps-1", ("f", "1", 0, 0)),  # an entry of A
+    ("nlbt-balance-1", ("Tbar1_inv", 0, 0)),
+    ("nlbt-balance-1", ("sigma_condition",)),
+    ("nlbt-rom-1", ("x_r0", 0)),
+]
+
+
+class TestNonFiniteValues:
+    """A non-finite number in a numeric field is a parse_error naming the field; none is written."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "doc_name,keys", NONFINITE_FIELDS, ids=[f"{d}-{k[0]}" for d, k in NONFINITE_FIELDS]
+    )
+    def test_read_is_parse_error(self, doc_name, keys, value, pendulum_run, tmp_path, capsys):
+        pl, rom = pendulum_run
+        path, out = tmp_path / "in.json", tmp_path / "out"
+        if doc_name == "kps-1":
+            doc, argv = system_to_dict(pl.sys), ["balance", "--file", str(path), "--degree", "3"]
+        elif doc_name == "nlbt-balance-1":
+            doc, argv = balance_to_dict(pl), ["reduce", "--artifact", str(path), "-r", "1"]
+        else:
+            doc, argv = rom_to_dict(rom), ["simulate", f"rom:{path}", "--tspan", "0,1"]
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        # nothing on stderr but the one JSON line: no warning, no traceback
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "parse_error"
+        assert f"{doc_name} document: field '{keys[0]}'" in err["reason"]
+        assert "non-finite" in err["reason"]
+        assert not out.exists()
+
+    def test_writers_refuse_before_writing(self, pendulum_run, tmp_path):
+        sys_obj = models.pendulum(3)
+        sys_obj.h = PolyMap({1: np.array([[np.inf, 0.0]])}, 2)
+        rom = copy.copy(pendulum_run[1])
+        rom.x_r0 = np.array([np.nan])
+        for save, obj in ((save_system, sys_obj), (save_rom, rom)):
+            path = tmp_path / "out.json"
+            with pytest.raises(FormatError, match="non-finite"):
+                save(obj, path)
+            assert not path.exists()
 
 
 class TestCli:

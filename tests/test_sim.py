@@ -64,6 +64,35 @@ class TestIntegrate:
         assert traj.diverged
         assert np.all(np.isfinite(traj.x))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_rhs_at_x0_fails_on_the_first_step(self, value):
+        # scipy's initial step turned NaN here and its reject loop never ended
+        traj = integrate(lambda x, u: np.full(1, value), np.array([1.0]), zero_signal(), (0, 1))
+        assert traj.diverged
+        npt.assert_array_equal(traj.t, [0.0])
+        npt.assert_array_equal(traj.x, [[1.0]])
+        npt.assert_array_equal(traj.u, [[0.0]])
+
+    @pytest.mark.parametrize(
+        "x0, match",
+        [(np.array([[1.0]]), "1-dimensional"), (np.array([np.nan]), "finite"),
+         (np.array([-np.inf, 0.0]), "finite")],
+    )
+    def test_rejects_bad_initial_states(self, x0, match):
+        with pytest.raises(ValueError, match=match):
+            integrate(lambda x, u: -x, x0, zero_signal(), (0, 1))
+
+    def test_rejects_negative_abs_tol(self):
+        with pytest.raises(ValueError, match="atol must be non-negative"):
+            integrate(lambda x, u: -x, np.array([1.0]), zero_signal(), (0, 1), abs_tol=-1e-9)
+
+    def test_rel_tol_below_its_floor_warns_and_is_raised(self):
+        rhs, x0 = (lambda x, u: -x), np.array([1.0])
+        with pytest.warns(UserWarning, match="below 100 eps"):
+            low = integrate(rhs, x0, zero_signal(), (0, 1), rel_tol=1e-20)
+        floor = integrate(rhs, x0, zero_signal(), (0, 1), rel_tol=100 * np.finfo(float).eps)
+        npt.assert_array_equal(low.x, floor.x)
+
     @pytest.mark.parametrize(
         "t_span", [(1, 0), (0, 0), (0, 1, 2), (0,), (0, np.inf), (np.nan, 1)]
     )
@@ -285,6 +314,7 @@ class TestTrajectoryCsv:
         traj.to_csv(path)
         assert path.read_bytes() == expected.encode("ascii")
         back = Trajectory.from_csv(io.StringIO(expected))
+        assert not back.diverged
         for got, ref in ((back.t, traj.t), (back.x, traj.x), (back.y, traj.y), (back.u, traj.u)):
             if ref is None:
                 assert got is None
@@ -299,3 +329,23 @@ class TestTrajectoryCsv:
         back = Trajectory.from_csv(io.StringIO(buf.getvalue()))
         assert back.x.shape == (1, 2) and back.u.shape == (1, 1) and back.y is None
         npt.assert_array_equal(back.x, traj.x)
+
+    def test_diverged_flag_round_trips(self, tmp_path):
+        traj = integrate(lambda x, u: x ** 2, [1.0], zero_signal(), (0, 2), n_samples=5)
+        assert traj.diverged
+        path = tmp_path / "t.csv"
+        traj.to_csv(path)
+        assert path.read_text().splitlines()[-1] == "# diverged"
+        for src in (path, io.StringIO(path.read_text())):
+            back = Trajectory.from_csv(src)
+            assert back.diverged
+            npt.assert_array_equal(back.t, traj.t)
+            npt.assert_array_equal(back.x, traj.x)
+            npt.assert_array_equal(back.u, traj.u)
+
+    def test_first_step_failure_round_trips(self):
+        traj = integrate(lambda x, u: np.full(1, np.nan), [1.0], zero_signal(), (0, 1))
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        back = Trajectory.from_csv(io.StringIO(buf.getvalue()))
+        assert back.diverged and back.x.shape == (1, 1)
