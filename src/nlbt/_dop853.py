@@ -348,11 +348,12 @@ class Dop853Solution:
 def dop853(fun, t0, y0, t_bound, rtol, atol):
     """Integrate ``y' = fun(t, y)`` from ``y(t0) = y0`` to ``t_bound > t0``.
 
-    Returns a :class:`Dop853Solution`.  ``y0`` must be 1-D and finite
-    (``ValueError``), ``atol`` non-negative (``ValueError``); an ``rtol``
-    below ``100 eps`` warns and is raised to it.  The run fails, and keeps
-    the steps made so far, when the step shrinks below ten spacings of the
-    doubles at ``t`` or when ``fun(t0, y0)`` is not finite.
+    Returns a :class:`Dop853Solution`.  ``y0`` must be 1-D and finite and
+    ``atol`` positive (``ValueError``; scipy's ``atol = 0`` from a zero state
+    gives a NaN first step); an ``rtol`` below ``100 eps`` warns and is raised
+    to it.  The run fails, and keeps the steps made so far, when the step
+    shrinks below ten spacings of the doubles at ``t`` or when ``fun(t0, y0)``
+    is not finite.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
@@ -362,8 +363,8 @@ def dop853(fun, t0, y0, t_bound, rtol, atol):
     if rtol < 100 * EPS:
         warnings.warn(f"rtol {rtol} is below 100 eps; using rtol = {100 * EPS}", stacklevel=3)
         rtol = 100 * EPS
-    if np.any(np.asarray(atol) < 0):
-        raise ValueError(f"atol must be non-negative, got {atol}")
+    if not atol > 0:
+        raise ValueError(f"abs_tol must be positive, got {atol}")
 
     def f_of(t, y):
         return np.asarray(fun(t, y), dtype=float)

@@ -29,7 +29,7 @@ from .serialization import (
     save_rom,
     save_system,
 )
-from .sim import l2_error, save_csv, signal, simulate_system
+from .sim import ABS_TOL, N_SAMPLES, REL_TOL, l2_error, save_csv, signal, simulate_system
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -101,10 +101,15 @@ def _resolve_simulatable(spec):
     raise FormatError(f"unknown source spec {spec!r} (use model:, file:, or rom:)")
 
 
+def _simulation_options(args, m):
+    """The input signal, time span and integrator keywords of ``simulate`` and ``compare``."""
+    kw = dict(rel_tol=args.rel_tol, abs_tol=args.abs_tol, n_samples=args.samples)
+    return _parse_signal(args.input, m), _parse_vector(args.tspan), kw
+
+
 def cmd_simulate(args):
     sys_obj, rom = _resolve_simulatable(args.source)
-    u = _parse_signal(args.input, sys_obj.m)
-    t_span = _parse_vector(args.tspan)
+    u, t_span, kw = _simulation_options(args, sys_obj.m)
     if args.x0_full and rom is None:
         raise FormatError("--x0-full only applies to rom: sources")
     if rom is not None and args.x0_full:
@@ -115,10 +120,7 @@ def cmd_simulate(args):
         x0 = rom.x_r0
     else:
         x0 = np.zeros(sys_obj.n)
-    traj = simulate_system(
-        sys_obj, x0, u, t_span,
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, n_samples=args.samples,
-    )
+    traj = simulate_system(sys_obj, x0, u, t_span, **kw)
     traj.to_csv(args.out)
     status = "diverged" if traj.diverged else "ok"
     print(f"simulated {args.source} over {args.tspan}: {status}; wrote {args.out}")
@@ -127,10 +129,8 @@ def cmd_simulate(args):
 
 def cmd_compare(args):
     ref_sys, ref_rom = _resolve_simulatable(args.reference)
-    u = _parse_signal(args.input, ref_sys.m)
-    t_span = _parse_vector(args.tspan)
+    u, t_span, kw = _simulation_options(args, ref_sys.m)
     x0_full = _parse_vector(args.x0) if args.x0 else np.zeros(ref_sys.n)
-    kw = dict(rel_tol=args.rel_tol, abs_tol=args.abs_tol, n_samples=args.samples)
     ref_traj = simulate_system(ref_sys, x0_full, u, t_span, **kw)
     ref_traj.to_csv(f"{args.out_prefix}_reference.csv")
     summary = {"reference": {"source": args.reference, "diverged": ref_traj.diverged}}
@@ -174,6 +174,12 @@ def build_parser():
         prog="nlbt", description="Nonlinear balanced truncation pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sim = argparse.ArgumentParser(add_help=False)  # the options simulate and compare share
+    sim.add_argument("--input", default="zero")
+    sim.add_argument("--tspan", default="0,10")
+    sim.add_argument("--samples", type=int, default=N_SAMPLES)
+    sim.add_argument("--rel-tol", type=float, default=REL_TOL)
+    sim.add_argument("--abs-tol", type=float, default=ABS_TOL, help="must be positive")
 
     p = sub.add_parser("export", help="write a zoo model as a kps-1 file")
     p.add_argument("--model", required=True)
@@ -196,27 +202,18 @@ def build_parser():
     p.add_argument("--out", default="rom.json")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("simulate", help="integrate a model, kps file, or ROM")
+    p = sub.add_parser("simulate", parents=[sim], help="integrate a model, kps file, or ROM")
     p.add_argument("source", help="model:NAME | file:PATH | rom:PATH")
     p.add_argument("--x0", default=None)
     p.add_argument("--x0-full", default=None, help="full-order x0, reduced through the ROM map")
-    p.add_argument("--input", default="zero")
-    p.add_argument("--tspan", default="0,10")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
     p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="simulate a reference and candidates, report L2 errors")
+    p = sub.add_parser("compare", parents=[sim],
+                       help="simulate a reference and candidates, report L2 errors")
     p.add_argument("--reference", required=True)
     p.add_argument("--candidate", action="append", required=True)
     p.add_argument("--x0", default=None, help="full-order initial condition")
-    p.add_argument("--input", default="zero")
-    p.add_argument("--tspan", default="0,10")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
     p.add_argument("--out-prefix", default="compare")
     p.set_defaults(func=cmd_compare)
 

@@ -134,8 +134,7 @@ class SchurFactor:
         self.n = n
         self.T = T
         self.eigvals = np.diagonal(T)
-        # Fortran-ordered operands of the 2-way solves (ztrsyl)
-        self._t_f = np.asfortranarray(T)
+        # Fortran-ordered operand of the 2-way solves (ztrsyl)
         self._tconj_f = np.asfortranarray(T.conj())
         # a slot contraction by M is ``t @ M^T`` on the trailing axis; the
         # real operands let the real input and the real output skip complex
@@ -213,7 +212,7 @@ class SchurFactor:
 
     def _shifted_block(self, lo, hi, shift):
         """Fortran-ordered copy of ``T[lo:hi, lo:hi] + shift I``."""
-        A = np.array(self._t_f[lo:hi, lo:hi], order="F")
+        A = np.array(self.T[lo:hi, lo:hi], order="F")
         A.ravel(order="F")[:: hi - lo + 1] += shift
         return A
 
@@ -253,8 +252,10 @@ class SchurFactor:
 
 
 def _check_symmetric(R):
-    """Raise ``ValueError`` unless the k-tensor ``R`` is invariant under slot permutations."""
+    """Raise ``ValueError`` unless the k-tensor ``R`` is finite and slot-permutation invariant."""
     tol = 1e-12 * np.abs(R).max()
+    if not np.isfinite(tol):  # a NaN would fail no comparison below
+        raise ValueError("right-hand side holds a non-finite value")
     # a transposition and a cycle generate every permutation of the slots
     k = R.ndim
     for axes in {(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)}:
@@ -270,11 +271,11 @@ def solve_kway_transposed(A, k, rhs):
 
     ``A`` is a square array or its :class:`SchurFactor`; pass the factor when
     solving several degrees against one ``A``.  ``rhs`` has length ``n^k``,
-    ``k >= 2``, and must be invariant under permutations of its ``k``
-    Kronecker slots, as every right-hand side of the energy equations is;
-    the solution is then symmetric as well.  Raises ``ValueError`` for a
-    non-symmetric ``rhs`` and :class:`ResonanceError` when a sum of ``k``
-    eigenvalues of ``A`` is numerically zero.
+    ``k >= 2``, and must be finite and invariant under permutations of its
+    ``k`` Kronecker slots, as every right-hand side of the energy equations
+    is; the solution is then symmetric as well.  Raises ``ValueError``
+    otherwise and :class:`ResonanceError` when a sum of ``k`` eigenvalues of
+    ``A`` is numerically zero.
     """
     fac = A if isinstance(A, SchurFactor) else SchurFactor(A)
     k = int(k)
@@ -293,6 +294,32 @@ def solve_kway_transposed(A, k, rhs):
     return fac._from_schur(X, k)
 
 
+def _solve_energy_degree(fac, k, source_of):
+    """The degree-k coefficient ``v_k`` of ``L_k^T v_k = -source_of()``, ``fac`` the operator's
+    Schur factor.  A source that overflows is reported once, as a
+    :class:`~nlbt.errors.HypothesisViolation` naming ``k``, not as numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        source = source_of()
+    if not np.isfinite(source).all():
+        raise HypothesisViolation(f"degree-{k} energy equation: right-hand side overflowed")
+    return solve_kway_transposed(fac, k, -source)
+
+
+def _series_source(sys, v, rho, k):
+    """The degree-k source ``sym(sum_j i v_i F_j + sum_s rho_s^T rho_(k-s))``."""
+    n = sys.n
+    b = np.zeros(n ** k)
+    for j in range(2, k):
+        if j in sys.f.terms:
+            i = k - j + 1
+            b += i * (v[i].reshape(-1, n) @ sys.f.terms[j]).ravel()
+    parts = rho(v, k)
+    for s in range(1, k):
+        if s in parts and k - s in parts:
+            b += (parts[s].T @ parts[k - s]).ravel()
+    return symmetrize_columns(b[None, :], n, k).ravel()
+
+
 def _energy_series(sys, fac, v2, rho, d):
     """The energy with degree-2 coefficient ``v2`` whose degrees 3..d solve
     ``dE/dx f + 1/2 |rho|^2 = 0`` (see the module docstring).
@@ -301,21 +328,10 @@ def _energy_series(sys, fac, v2, rho, d):
     ``v_k``.  ``rho(v, k)`` maps each degree ``s`` to ``rho_s`` of shape
     ``(q, n^s)``, built from ``v_2, ..., v_(k-1)`` only.
     """
-    n = sys.n
     v = {2: v2}
     for k in range(3, d + 1):
-        b = np.zeros(n ** k)
-        for j in range(2, k):
-            if j in sys.f.terms:
-                i = k - j + 1
-                b += i * (v[i].reshape(-1, n) @ sys.f.terms[j]).ravel()
-        parts = rho(v, k)
-        for s in range(1, k):
-            if s in parts and k - s in parts:
-                b += (parts[s].T @ parts[k - s]).ravel()
-        b = symmetrize_columns(b[None, :], n, k).ravel()
-        v[k] = solve_kway_transposed(fac, k, -b)
-    return EnergyFunction(n, v)
+        v[k] = _solve_energy_degree(fac, k, lambda: _series_source(sys, v, rho, k))
+    return EnergyFunction(sys.n, v)
 
 
 def solve_observability_energy(sys, d):
@@ -331,7 +347,7 @@ def solve_observability_energy(sys, d):
     fac = SchurFactor(sys.A)
     _check_hurwitz(fac.eigvals)
     H1 = sys.h.term(1)
-    W = solve_kway_transposed(fac, 2, -H1.T @ H1).reshape(fac.n, fac.n)
+    W = _solve_energy_degree(fac, 2, lambda: H1.T @ H1).reshape(fac.n, fac.n)
     return _energy_series(sys, fac, 0.5 * (W + W.T).reshape(-1), lambda v, k: sys.h.terms, d)
 
 
@@ -352,7 +368,7 @@ def solve_controllability_energy(sys, d):
     n, A, B = sys.n, sys.A, sys.B
     gram = SchurFactor(A.T)  # for A Wc + Wc A^T + B B^T = 0
     _check_hurwitz(gram.eigvals)
-    Wc = solve_kway_transposed(gram, 2, -B @ B.T).reshape(n, n)
+    Wc = _solve_energy_degree(gram, 2, lambda: B @ B.T).reshape(n, n)
     Wc = 0.5 * (Wc + Wc.T)
     cond = np.linalg.cond(Wc)
     if not np.isfinite(cond) or cond > 1e13:

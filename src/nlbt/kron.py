@@ -36,7 +36,6 @@ more.  :class:`PolyMap` evaluation (one point or many) and its Jacobian, the
 system right-hand side and the energies all go through it.
 """
 
-import itertools
 import math
 from collections import Counter
 from functools import lru_cache
@@ -400,23 +399,18 @@ def polymap_from_monomials(n, rows, entries):
     """Build a :class:`PolyMap` from monomial data.
 
     ``entries`` maps ``(row, exponents)`` to a coefficient, where ``exponents``
-    is a length-n tuple of nonnegative integers.  Each coefficient is spread
-    evenly over all Kronecker columns of its monomial, so the result is
-    symmetric.
+    is a length-n tuple of nonnegative integers.  Each coefficient is written
+    at its monomial's sorted column and :func:`symmetrize_columns` spreads it
+    evenly over all Kronecker columns of the monomial.
     """
     by_degree = {}
     for (row, expo), coeff in entries.items():
         k = int(sum(expo))
         W = by_degree.setdefault(k, np.zeros((rows, n ** k)))
-        if k == 0:
-            W[row, 0] += coeff
-            continue
-        letters = []
-        for i, e in enumerate(expo):
-            letters.extend([i] * int(e))
-        perms = set(itertools.permutations(letters))
-        for perm in perms:
-            W[row, multi_index_to_column(perm, n)] += coeff / len(perms)
+        letters = [i for i, e in enumerate(expo) for _ in range(int(e))]
+        W[row, multi_index_to_column(letters, n)] += coeff
+    for k, W in by_degree.items():
+        W[...] = symmetrize_columns(W, n, k)
     return PolyMap._adopt(by_degree, n, rows)
 
 
@@ -537,6 +531,13 @@ class PolyMap:
         return f"PolyMap(rows={self.rows}, base_dim={self.base_dim}, degrees={degs})"
 
 
+def _require_no_constant(pm, name):
+    """``pm``, or ``ValueError`` naming it ``name`` when it has a nonzero constant term."""
+    if 0 in pm.terms and np.any(pm.terms[0]):
+        raise ValueError(f"{name} must not have a constant term")
+    return pm
+
+
 def compose_degree(maps, T, k):
     """Degree-k coefficient ``sum_j M_j Tcal_{j,k}`` of the composition ``M(T(z))``.
 
@@ -576,8 +577,7 @@ def compose(P, T, d_out):
     is :func:`symmetrize_columns` of :func:`compose_degree`
     ``(P.terms, T.terms, i)``.
     """
-    if 0 in T.terms and np.any(T.terms[0]):
-        raise ValueError("compose requires T without a constant term")
+    _require_no_constant(T, "T")
     if P.base_dim != T.rows:
         raise ValueError("dimension mismatch: P.base_dim != T.rows")
     out = {}
@@ -593,23 +593,24 @@ def compose(P, T, d_out):
 class ControlAffineSystem:
     """Polynomial control-affine system ``x' = f(x) + g(x) u``, ``y = h(x)``.
 
-    ``f`` and ``h`` are :class:`PolyMap` over the state (no constant term in
-    ``f``: the origin is an equilibrium).  ``g`` is stored per input column as
-    PolyMaps that may carry a degree-0 (constant) term.  ``f`` and the input
-    columns are evaluated together, as one stacked map on unique monomials.
+    ``f`` and ``h`` are :class:`PolyMap` over the state without a constant
+    term: the origin is an equilibrium with zero output.  ``g`` is stored per
+    input column as PolyMaps that may carry a degree-0 (constant) term.  ``f``
+    and the input columns are evaluated together, as one stacked map on
+    unique monomials.
     """
 
     def __init__(self, f, g_columns, h):
         n = f.base_dim
         if f.rows != n:
             raise ValueError("f must map R^n -> R^n")
-        if 0 in f.terms and np.any(f.terms[0]):
-            raise ValueError("f must not have a constant term")
+        _require_no_constant(f, "f")
         for gc in g_columns:
             if gc.rows != n or gc.base_dim != n:
                 raise ValueError("every input column must map R^n -> R^n")
         if h.base_dim != n:
             raise ValueError("h must act on R^n")
+        _require_no_constant(h, "h")
         self.f = f
         self.g = list(g_columns)
         self.h = h

@@ -22,6 +22,8 @@ step from the first iterate within ``tol``, so the scaling is accurate to
 rounding at no extra pass; the lift to ``(x, dx/dzbar)`` reuses its
 diagonal.  The n x n solves go through ``numpy.linalg.solve``: at the small
 n this path serves, scipy's input checks cost more than the LAPACK call.
+Every solve raises :class:`~nlbt.errors.NewtonDivergence` after
+:data:`MAX_ITER` Newton steps; only its tolerance ``tol`` is a parameter.
 """
 
 import numpy as np
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 50
+MAX_ITER = 50
 
 
 def _scaling_terms(sq_sv, z):
@@ -64,7 +66,7 @@ def eval_inverse_scaling(sq_sv, z):
     return z * _scaling_terms(sq_sv, z)[0]
 
 
-def _solve_scaling(sq_sv, zbar, tol, max_iter):
+def _solve_scaling(sq_sv, zbar, tol):
     """:func:`newton_scaling`'s ``z``, and the diagonal of ``dzbar/dz`` there.
 
     One sigma^2 pass at ``zbar`` seeds the iteration; after that every
@@ -77,7 +79,7 @@ def _solve_scaling(sq_sv, zbar, tol, max_iter):
     # outside the series' positivity region, seed with the origin scaling
     s2_guess = np.where(s2_guess > 0, s2_guess, sq_sv.coeffs[:, 0])
     z = zbar / s2_guess ** 0.25
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         q, diag = _scaling_terms(sq_sv, z)
         resid = z * q - zbar
         if (abs(diag) < 1e-14).any():
@@ -87,7 +89,7 @@ def _solve_scaling(sq_sv, zbar, tol, max_iter):
         step = resid / diag
         if abs(resid).max() <= tol:
             return z - step, diag
-        if it < max_iter:
+        if it < MAX_ITER:
             z = z - step
     raise NewtonDivergence(
         f"scaling Newton iteration did not reach tol={tol:g}",
@@ -96,52 +98,50 @@ def _solve_scaling(sq_sv, zbar, tol, max_iter):
     )
 
 
-def newton_scaling(sq_sv, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def newton_scaling(sq_sv, zbar, tol=DEFAULT_TOL):
     """Solve ``z * sqrt(sigma(z)) = zbar`` by Newton iteration.
 
     The initial guess applies the constant-sigma scaling at ``zbar``, which
     already solves the problem when the singular value functions are constant.
     """
-    return _solve_scaling(sq_sv, zbar, tol, max_iter)[0]
+    return _solve_scaling(sq_sv, zbar, tol)[0]
 
 
-def eval_forward_balancing_newton(inod, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def eval_forward_balancing_newton(inod, zbar, tol=DEFAULT_TOL):
     """``x = Phi(phi(zbar))``: Newton for the scaling step, then the transform."""
-    z = newton_scaling(inod.sq_sv, zbar, tol=tol, max_iter=max_iter)
+    z = newton_scaling(inod.sq_sv, zbar, tol=tol)
     return inod.transform(z)
 
 
-def _lift(inod, zbar, tol, max_iter):
+def _lift(inod, zbar, tol):
     """``x = Phi(phi(zbar))`` and the balancing Jacobian ``dx/dzbar`` there.
 
     One scaling solve gives ``z = phi(zbar)`` and the (diagonal)
     inverse-scaling Jacobian at ``z``; the scaling Jacobian is its inverse,
     so the chain rule divides the columns of ``dPhi/dz`` by that diagonal.
     """
-    z, diag = _solve_scaling(inod.sq_sv, zbar, tol, max_iter)
+    z, diag = _solve_scaling(inod.sq_sv, zbar, tol)
     return inod.transform(z), inod.transform.jacobian(z) / diag[None, :]
 
 
-def balancing_jacobian_newton(inod, zbar, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def balancing_jacobian_newton(inod, zbar, tol=DEFAULT_TOL):
     """Jacobian of the balancing transformation by the chain rule."""
-    return _lift(inod, zbar, tol, max_iter)[1]
+    return _lift(inod, zbar, tol)[1]
 
 
-def newton_inverse_balancing(inod, x, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def newton_inverse_balancing(inod, x, tol=DEFAULT_TOL):
     """Solve ``Phi(phi(zbar)) = x`` by Newton iteration, starting from the
     linearized inverse ``Tbar_1^{-1} x``."""
     x = np.asarray(x, dtype=float)
     sig = inod.hankel
     zbar = (inod.t1_inverse @ x) * sig ** 0.5
-    for _ in range(max_iter):
-        x_k, J = _lift(inod, zbar, tol, max_iter)
+    for it in range(MAX_ITER + 1):
+        x_k, J = _lift(inod, zbar, tol)
         resid = x_k - x
         if abs(resid).max() <= tol:
             return zbar
-        zbar = zbar - np.linalg.solve(J, resid)
-    resid = eval_forward_balancing_newton(inod, zbar, tol=tol, max_iter=max_iter) - x
-    if abs(resid).max() <= tol:
-        return zbar
+        if it < MAX_ITER:
+            zbar = zbar - np.linalg.solve(J, resid)
     raise NewtonDivergence(
         f"inverse balancing Newton did not reach tol={tol:g}",
         last_iterate=zbar,
@@ -149,12 +149,12 @@ def newton_inverse_balancing(inod, x, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
     )
 
 
-def eval_balanced_rhs_newton(sys, inod, zbar, u, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def eval_balanced_rhs_newton(sys, inod, zbar, u, tol=DEFAULT_TOL):
     """One evaluation of the implicit balanced realization.
 
     Lifts to ``x``, evaluates the full-order dynamics and output, and
     premultiplies by the inverse balancing Jacobian.  Returns ``(zbar_dot, y)``.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    x, J = _lift(inod, zbar, tol, max_iter)
+    x, J = _lift(inod, zbar, tol)
     return np.linalg.solve(J, sys.rhs(x, u)), sys.h(x)

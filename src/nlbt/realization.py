@@ -27,14 +27,11 @@ retained.  So :func:`build_rom` never forms the full realization, and
 values is the ill-conditioning diagnostic for that computation.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from .kron import (
     ControlAffineSystem,
     PolyMap,
-    column_multi_indices,
     compose,
     compose_degree,
     mat_times_kron,
@@ -117,7 +114,7 @@ def balanced_drift(f, Tbar, Tbar1_inv, d, r=None):
     solve takes its symmetric part; the result is the canonical symmetric
     representative.  With a retained order ``r`` (default ``n``) the result
     holds the columns that only touch states < r, as a map on ``R^r`` with
-    all ``n`` rows.
+    all ``n`` rows.  perfbench traces :func:`build_rom`'s call by name.
     """
     return _solve_recursion([f], {}, Tbar, Tbar1_inv, d, r)
 
@@ -129,7 +126,8 @@ def balanced_input(g_columns, Tbar, Tbar1_inv, d, r=None):
     in rows ``l n`` to ``(l + 1) n``); the constant columns seed it, and
     their k-way coupling with ``Tbar_{k+1}`` is kept (the term a
     degree-(k+1) transform contributes against the constant input).  ``r``
-    restricts the columns as in :func:`balanced_drift`.
+    restricts the columns as in :func:`balanced_drift`.  perfbench traces
+    :func:`build_rom`'s call by name.
     """
     seed = {0: Tbar1_inv @ np.stack([gc.term(0) for gc in g_columns])}
     return _solve_recursion(g_columns, seed, Tbar, Tbar1_inv, d, r)
@@ -139,11 +137,11 @@ def balanced_output(h, Tbar, d, r=None):
     """Output coefficients ``Hbar_k = sum_j H_j Tcal_{j,k}``: a plain composition.
 
     With a retained order ``r`` (default ``n``) this is ``h`` composed with
-    the truncated transform ``Tbar^(r)``.
+    the truncated transform ``Tbar^(r)``; like ``h``, it has no constant
+    term.  perfbench traces :func:`build_rom`'s call by name.
     """
     r = Tbar.rows if r is None else r
-    comp = compose(h, truncate_transform(Tbar, r), d)
-    return PolyMap._adopt({k: W for k, W in comp.terms.items() if k >= 1}, r, h.rows)
+    return compose(h, truncate_transform(Tbar, r), d)
 
 
 def inverse_transform_coeffs(Tbar, Tbar1_inv, d, r=None):
@@ -168,14 +166,6 @@ def inverse_transform_coeffs(Tbar, Tbar1_inv, d, r=None):
     return PolyMap._adopt(P, n, r)
 
 
-@lru_cache(maxsize=64)
-def _retained_column_map(n, r, k):
-    """For each of the r^k retained columns, its source column among n^k."""
-    src = column_multi_indices(r, k) @ n ** np.arange(k - 1, -1, -1)
-    src.setflags(write=False)
-    return src
-
-
 def truncate_columns(W, n, r, k):
     """Keep the columns of ``W`` whose multi-indices only involve states < r.
 
@@ -183,23 +173,23 @@ def truncate_columns(W, n, r, k):
     """
     if k == 0 or r == n:
         return W
-    return W[:, _retained_column_map(n, r, k)]
+    # the r^k retained columns, as multi-indices on r states, ravelled on n states
+    return W[:, np.ravel_multi_index(np.unravel_index(np.arange(r ** k), (r,) * k), (n,) * k)]
 
 
 def truncate_transform(Tbar, r):
     """Reduced transform ``T^(r)``: eliminate columns touching truncated states.
 
     Evaluating the result at ``x_r`` equals evaluating ``Tbar`` at
-    ``[x_r; 0]``.
+    ``[x_r; 0]``.  ``Tbar`` has no constant term (``compose`` and the reader
+    reject one).
     """
     n = Tbar.base_dim
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}")
-    if r == n and 0 not in Tbar.terms:
+    if r == n:
         return Tbar  # nothing to drop, and PolyMap terms are read-only
-    terms = {
-        k: truncate_columns(W, n, r, k) for k, W in Tbar.terms.items() if k >= 1
-    }
+    terms = {k: truncate_columns(W, n, r, k) for k, W in Tbar.terms.items()}
     return PolyMap._adopt(terms, r, Tbar.rows)
 
 
@@ -207,24 +197,27 @@ class BalancingTransform:
     """A full-order system with its balancing transformation: what a balancing run keeps.
 
     :func:`build_rom` reads the system ``sys``, the transform ``Tbar``, the
-    inverse ``Tbar1_inv`` of its linear coefficient and the Hankel values.
-    The ``nlbt-balance-1`` artifact also keeps the transform degree
-    ``d_transf``, the σ² series ``sq_sv`` (a
-    :class:`~nlbt.inod.SqSingularValueFns`) and both energies ``Ec`` and
-    ``Eo``.  A balancing run, :class:`~nlbt.pipeline.BalancedPipeline`, is one
-    of these; :func:`nlbt.serialization.load_balance` reads one from an
-    artifact.
+    inverse ``Tbar1_inv`` of its linear coefficient and the Hankel values,
+    which the σ² series ``sq_sv`` (a :class:`~nlbt.inod.SqSingularValueFns`)
+    gives.  The ``nlbt-balance-1`` artifact also keeps the transform degree
+    ``d_transf`` and both energies ``Ec`` and ``Eo``.  A balancing run,
+    :class:`~nlbt.pipeline.BalancedPipeline`, is one of these;
+    :func:`nlbt.serialization.load_balance` reads one from an artifact.
     """
 
-    def __init__(self, sys, d_transf, hankel, sq_sv, Ec, Eo, Tbar, Tbar1_inv):
+    def __init__(self, sys, d_transf, sq_sv, Ec, Eo, Tbar, Tbar1_inv):
         self.sys = sys
         self.d_transf = d_transf
-        self.hankel = np.asarray(hankel, dtype=float)
         self.sq_sv = sq_sv
         self.Ec = Ec
         self.Eo = Eo
         self.Tbar = Tbar
         self.Tbar1_inv = np.asarray(Tbar1_inv, dtype=float)
+
+    @property
+    def hankel(self):
+        """Hankel values ``sigma_i(0) = sigma_i^2(0)^(1/2)``, from the σ² series."""
+        return self.sq_sv.hankel_values()
 
     @property
     def sigma_condition(self):

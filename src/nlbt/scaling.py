@@ -81,7 +81,9 @@ def assemble_scaling_coeffs(A_per_state, n, d):
 
 
 def compose_balancing(transform, scaling_map, d):
-    """Balancing transformation ``Tbar = Phi o phi`` truncated to degree ``d``."""
+    """Balancing transformation ``Tbar = Phi o phi`` truncated to degree ``d``.
+
+    perfbench traces :func:`~nlbt.pipeline.balance`'s call by name."""
     return compose(transform, scaling_map, d)
 
 

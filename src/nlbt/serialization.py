@@ -13,9 +13,10 @@ one string, ``json.dumps(doc, indent=1)`` and a newline.  The documents:
 - ``nlbt-balance-1`` (:func:`save_balance`, :func:`load_balance`): what
   ``nlbt balance`` writes, a :class:`~nlbt.realization.BalancingTransform`:
   ``d_transf``, the ``system`` as ``kps-1``, ``hankel``, ``sigma_condition``,
-  the σ² series ``sq_sv``, both ``energies``, ``Tbar`` and ``Tbar1_inv``.
-  Artifacts written while the series inverse was stored also carry ``P``,
-  which is not read.
+  the σ² series ``sq_sv``, both ``energies``, ``Tbar`` and ``Tbar1_inv``;
+  ``hankel`` and ``sigma_condition`` follow from ``sq_sv`` and are checked,
+  not kept.  Artifacts written while the series inverse was stored also
+  carry ``P``, which is not read.
 - ``nlbt-rom-1`` (:func:`save_rom`, :func:`load_rom`): what ``nlbt reduce``
   writes, a :class:`~nlbt.realization.ReducedOrderModel`: ``r``, ``d_rom``,
   the ROM as ``kps-1`` (``rom``), its manifold map ``transform``, the r
@@ -23,13 +24,15 @@ one string, ``json.dumps(doc, indent=1)`` and a newline.  The documents:
   holds all n rows loads to its first r), ``x_r0`` and ``hankel``.
 
 Every reader checks that the document is an object of its version, that
-every field is present and decodes, that every number is finite, and that
-every block has its shape and every shape agrees with the system's n or the
-ROM's r; the ``kps-1`` reader also checks ``degree`` against the largest
-block degree.  Otherwise it raises :class:`FormatError`, whose message names
-the document and the field.  A file that cannot be read is a
-:class:`FormatError` naming its path.  A writer raises :class:`FormatError`
-on a NaN or an infinity before it writes anything.
+every field is present and decodes, that every number is finite (a JSON
+boolean is not a number), that every block has its shape and every shape
+agrees with the system's n or the ROM's r, and that no map but an input
+column has a nonzero constant term; the ``kps-1`` reader also checks
+``degree`` against the largest block degree.  Otherwise it raises
+:class:`FormatError`, whose message names the document and the field.  A
+file that cannot be read is a :class:`FormatError` naming its path.  A
+writer raises :class:`FormatError` on a NaN or an infinity before it writes
+anything.
 """
 
 import json
@@ -39,7 +42,7 @@ import numpy as np
 from .energy import EnergyFunction
 from .errors import HypothesisViolation
 from .inod import SqSingularValueFns
-from .kron import ControlAffineSystem, PolyMap
+from .kron import ControlAffineSystem, PolyMap, _require_no_constant
 from .realization import BalancingTransform, ReducedOrderModel, _leading_rows
 
 __all__ = [
@@ -77,11 +80,12 @@ def _encode_matrix(W):
 
 
 def _decode_matrix(rows, shape):
-    W = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    # float(True) is 1.0: a JSON boolean decodes as NaN, so the finiteness check refuses it
+    W = np.array([[np.nan if isinstance(v, bool) else float(v) for v in row] for row in rows])
     if W.shape != shape:
         raise FormatError(f"coefficient block has shape {W.shape}, expected {shape}")
     if not np.isfinite(W).all():
-        raise FormatError(f"{shape} block holds a non-finite value")
+        raise FormatError(f"{shape} block holds a non-finite or boolean value")
     return W
 
 
@@ -104,12 +108,14 @@ def _encode_polymap(pm):
     return {str(k): _encode_matrix(W) for k, W in pm.terms.items()}
 
 
-def _decode_polymap(obj, base_dim, rows):
+def _decode_polymap(obj, base_dim, rows, name=None):
+    """The map of the blocks ``obj``; one with a ``name`` must vanish at the origin."""
     terms = {}
     for key, block in obj.items():
         k = int(key)
         terms[k] = _decode_matrix(block, (rows, base_dim ** k))
-    return PolyMap(terms, base_dim, rows=rows)
+    pm = PolyMap(terms, base_dim, rows=rows)
+    return pm if name is None else _require_no_constant(pm, name)
 
 
 def polymap_to_dict(pm):
@@ -149,9 +155,9 @@ def system_from_dict(obj):
     _check_version(obj, FORMAT_VERSION)
     doc = FORMAT_VERSION
     n, m, p = (_field(doc, obj, key, _positive_int) for key in ("n", "m", "p"))
-    f = _field(doc, obj, "f", _decode_polymap, n, n)
+    f = _field(doc, obj, "f", _decode_polymap, n, n, "f")
     g = _field(doc, obj, "g", _decode_columns, n, m)
-    h = _field(doc, obj, "h", _decode_polymap, n, p)
+    h = _field(doc, obj, "h", _decode_polymap, n, p, "h")
     sys = ControlAffineSystem(f, g, h)
     degree, top = _field(doc, obj, "degree", _positive_int), sys.degree()
     if degree != top:
@@ -225,7 +231,8 @@ def _decode_map(obj, base_dim, min_rows, rows=None):
     if pm.rows < min_rows or rows is not None and pm.rows != rows:
         want = rows if rows is not None else f"at least {min_rows}"
         raise FormatError(f"has {pm.rows} rows, expected {want}")
-    return pm
+    # every stored map, Tbar, the ROM's transform or its inverse, fixes the origin
+    return _require_no_constant(pm, "a transform")
 
 
 def _encode_energy(E):
@@ -269,14 +276,14 @@ def balance_from_dict(obj):
     d_transf = _field(doc, obj, "d_transf", _positive_int)
     sys = _field(doc, obj, "system", system_from_dict)
     n = sys.n
-    hankel = _field(doc, obj, "hankel", _decode_vector, n)
-    # derived from hankel: checked, not kept
+    # derived from sq_sv: checked, not kept
+    _field(doc, obj, "hankel", _decode_vector, n)
     _field(doc, obj, "sigma_condition", lambda v: _decode_matrix([[v]], (1, 1)))
     sq_sv = _field(doc, obj, "sq_sv", _decode_sq_sv, n, d_transf)
     Ec, Eo = _field(doc, obj, "energies", _decode_energies, n)
     Tbar = _field(doc, obj, "Tbar", _decode_map, n, n, n)
     Tbar1_inv = _field(doc, obj, "Tbar1_inv", _decode_matrix, (n, n))
-    return BalancingTransform(sys, d_transf, hankel, sq_sv, Ec, Eo, Tbar, Tbar1_inv)
+    return BalancingTransform(sys, d_transf, sq_sv, Ec, Eo, Tbar, Tbar1_inv)
 
 
 def save_balance(balancing, path):

@@ -27,6 +27,11 @@ __all__ = [
 
 DIVERGED_FOOTER = "# diverged"  # the last line of a diverged trajectory's CSV
 
+# the defaults of every simulation, the library's and the command line's
+REL_TOL = 1e-8
+ABS_TOL = 1e-10
+N_SAMPLES = 2000
+
 
 class Trajectory:
     """Sampled trajectory on a uniform grid.
@@ -150,9 +155,9 @@ def integrate(
     x0,
     u,
     t_span,
-    rel_tol=1e-8,
-    abs_tol=1e-10,
-    n_samples=2000,
+    rel_tol=REL_TOL,
+    abs_tol=ABS_TOL,
+    n_samples=N_SAMPLES,
     output=None,
 ):
     """Adaptive DOP853 integration, sampled from its dense output on a uniform grid.
@@ -160,8 +165,9 @@ def integrate(
     ``rhs(x, u_val)`` is the state derivative; ``u(t)`` the input signal;
     ``output(x)`` the optional output map.  ``t_span`` must be two finite
     times ``t0 < tf`` and ``n_samples`` at least 2; anything else raises
-    ``ValueError``, and so does an ``x0`` that is not 1-D and finite or a
-    negative ``abs_tol``; a ``rel_tol`` below ``100 eps`` warns and is raised
+    ``ValueError``, and so does an ``x0`` that is not 1-D and finite or an
+    ``abs_tol`` that is not positive (zero would leave the error scale of a
+    zero state at zero); a ``rel_tol`` below ``100 eps`` warns and is raised
     to it.  Divergence (solver failure or non-finite states) is flagged on
     the trajectory rather than raised, with the samples re-spaced over the
     reached interval; the overflow on the way there raises no numpy warning.

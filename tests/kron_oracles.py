@@ -4,10 +4,19 @@ Each one materializes or enumerates what the package computes in a faster,
 structured way, so tests can check the fast route against it.
 """
 
+import itertools
+
 import numpy as np
 from scipy import sparse
 
-from nlbt.kron import _monomial_start, _symmetry_groups, compositions, mat_times_kron
+from nlbt.kron import (
+    PolyMap,
+    _monomial_start,
+    _symmetry_groups,
+    compositions,
+    mat_times_kron,
+    multi_index_to_column,
+)
 
 
 def kron_power(x, k):
@@ -147,3 +156,21 @@ def sparse_group_fold(W, n, k):
     cols = inv.size
     S = sparse.csc_array((np.ones(cols), inv, np.arange(cols + 1)), shape=(counts.size, cols))
     return (S @ W.T).T
+
+
+def spread_polymap_from_monomials(n, rows, entries):
+    """:func:`nlbt.kron.polymap_from_monomials` by spreading each coefficient itself.
+
+    Every distinct permutation of a monomial's multi-index gets the
+    coefficient divided by their number, so the block is symmetric by
+    construction, with no group sum.
+    """
+    by_degree = {}
+    for (row, expo), coeff in entries.items():
+        k = int(sum(expo))
+        W = by_degree.setdefault(k, np.zeros((rows, n ** k)))
+        letters = [i for i, e in enumerate(expo) for _ in range(int(e))]
+        perms = set(itertools.permutations(letters))
+        for perm in perms:
+            W[row, multi_index_to_column(perm, n)] += coeff / len(perms)
+    return PolyMap._adopt(by_degree, n, rows)

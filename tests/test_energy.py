@@ -363,6 +363,14 @@ class TestKwaySolver:
         with pytest.raises(ValueError, match="not symmetric"):
             solve_kway_transposed(_complex_pair_matrix(), 3, R.ravel())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        # a NaN fails every comparison, so the symmetry check alone passes it
+        rhs = np.ones(27)
+        rhs[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_kway_transposed(_complex_pair_matrix(), 3, rhs)
+
     def test_resonance_detected(self):
         # eigenvalues -1 and 2: the pair sum (-1) + (-1) ... 2 + (-1) - 1 = 0
         A = np.diag([-1.0, 0.5])

@@ -2,6 +2,9 @@ import copy
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -361,7 +364,7 @@ NONFINITE_FIELDS = [
 class TestNonFiniteValues:
     """A non-finite number in a numeric field is a parse_error naming the field; none is written."""
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", True])
     @pytest.mark.parametrize(
         "doc_name,keys", NONFINITE_FIELDS, ids=[f"{d}-{k[0]}" for d, k in NONFINITE_FIELDS]
     )
@@ -401,7 +404,72 @@ class TestNonFiniteValues:
             assert not path.exists()
 
 
+class TestOriginInvariants:
+    """The origin is an equilibrium with zero output, and ``Tbar`` fixes it."""
+
+    def test_constant_output_is_parse_error_naming_h(self, tmp_path, capsys):
+        doc = system_to_dict(models.pendulum(3))
+        doc["h"]["0"] = [["0.5"]]
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        assert main(["balance", "--file", str(path), "--degree", "3", "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse_error"
+        assert err["reason"] == "kps-1 document: field 'h': h must not have a constant term"
+        assert not out.exists()
+
+    def test_balance_reader_rejects_a_tbar_constant(self, pendulum_run, tmp_path):
+        pl, _ = pendulum_run
+        doc = balance_to_dict(pl)
+        doc["Tbar"]["terms"]["0"] = [["0.0"], ["1e-3"]]
+        path = tmp_path / "art.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="field 'Tbar': a transform must not have a constant term"):
+            load_balance(path)
+        doc["Tbar"]["terms"]["0"] = [["0.0"], ["0.0"]]  # a zero block is no constant term
+        path.write_text(json.dumps(doc))
+        assert set(load_balance(path).Tbar.terms) == {0, *pl.Tbar.terms}
+
+    @pytest.mark.parametrize("keys,degree", [
+        (("f", "3", 1, 0), 4),  # the series right-hand side overflows
+        (("h", "1", 0, 0), 2),  # the observability Gramian's
+        (("g", 0, "0", 1, 0), 2),  # the controllability Gramian's
+    ], ids=["f", "h", "g"])
+    def test_overflowing_energy_is_hypothesis_violation(self, keys, degree, tmp_path, capsys):
+        doc = system_to_dict(models.pendulum(3))
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        assert float(parent[keys[-1]]) != 0
+        parent[keys[-1]] = "1e308"
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        assert main(["balance", "--file", str(path), "--degree", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        # nothing on stderr but the one JSON line: no numpy warning
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "hypothesis_violation"
+        assert err["reason"] == f"degree-{degree} energy equation: right-hand side overflowed"
+        assert not out.exists()
+
+
 class TestCli:
+    def test_simulate_zero_abs_tol_is_parse_error(self, tmp_path):
+        # a zero absolute tolerance from the zero state used to hang the integrator
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "t.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlbt", "simulate", "model:pendulum:3", "--abs-tol", "0",
+             "--tspan", "0,1", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        err = json.loads(proc.stderr)
+        assert err == {"error": "parse_error", "reason": "abs_tol must be positive, got 0.0"}
+        assert not out.exists()
+
     def test_export_and_balance(self, tmp_path):
         sys_path = tmp_path / "m.json"
         art_path = tmp_path / "art.json"

@@ -14,8 +14,10 @@ from kron_oracles import (
     mat_times_tensor_sum,
     recursive_monomials,
     sparse_group_fold,
+    spread_polymap_from_monomials,
     tensor_sum,
 )
+from nlbt import models
 from nlbt.kron import (
     ControlAffineSystem,
     _Compact,
@@ -617,7 +619,39 @@ class TestComposeOverPartitions:
         assert len(calls) == sum(PARTITIONS[:7]) == 44
 
 
+class TestPolymapFromMonomials:
+    def test_zoo_maps_match_spreading_oracle(self, monkeypatch):
+        """Every map the zoo builds from monomials equals the permutation-spreading
+        oracle bit for bit, in the same memory layout."""
+        built = []
+
+        def checked(n, rows, entries):
+            pm = polymap_from_monomials(n, rows, entries)
+            want = spread_polymap_from_monomials(n, rows, entries)
+            assert pm.terms.keys() == want.terms.keys()
+            for k, W in pm.terms.items():
+                npt.assert_array_equal(W, want.terms[k])
+                assert W.flags.c_contiguous and W.strides == want.terms[k].strides
+            built.append(pm)
+            return pm
+
+        monkeypatch.setattr(models, "polymap_from_monomials", checked)
+        for name in ("2d-illustrative", "3d-illustrative", "3d-illustrative-exact", "beam",
+                     "pendulum:3", "pendulum:7", "double-pendulum:3", "double-pendulum:5"):
+            models.by_name(name)
+        assert len(built) == 28
+
+
 class TestControlAffineSystem:
+    def test_constant_output_rejected(self):
+        f = PolyMap({1: -np.eye(2)}, 2)
+        g = PolyMap({0: np.ones((2, 1))}, 2, rows=2)
+        h = PolyMap({0: [[0.5]], 1: [[1.0, 0.0]]}, 2)
+        with pytest.raises(ValueError, match="h must not have a constant term"):
+            ControlAffineSystem(f, [g], h)
+        # a zero constant block is no constant term
+        ControlAffineSystem(f, [g], PolyMap({0: [[0.0]], 1: [[1.0, 0.0]]}, 2))
+
     def test_constant_drift_rejected(self):
         f = PolyMap({0: np.ones((2, 1)), 1: np.eye(2)}, 2)
         g = PolyMap({0: np.ones((2, 1))}, 2, rows=2)

@@ -156,7 +156,7 @@ class TestNewtonScaling:
     def test_divergence_reported(self):
         c = SqSingularValueFns(np.array([[1.0, -2.0]]))  # sigma^2 hits zero at z = 0.5
         with pytest.raises(NewtonDivergence):
-            newton_scaling(c, np.array([5.0]), max_iter=8)
+            newton_scaling(c, np.array([5.0]))
 
 
 class TestForwardBalancing:

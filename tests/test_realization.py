@@ -426,7 +426,7 @@ class TestBuildRom:
         bal = pl.realize()
         x0 = np.array([0.05, -0.02])
         transform = BalancingTransform(
-            pl.sys, pl.d_transf, pl.hankel, pl.sq_sv, pl.Ec, pl.Eo, pl.Tbar, pl.Tbar1_inv
+            pl.sys, pl.d_transf, pl.sq_sv, pl.Ec, pl.Eo, pl.Tbar, pl.Tbar1_inv
         )
         rom = build_rom(transform, 2, 3, x0=x0)
         for k in (1, 2, 3):

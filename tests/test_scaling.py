@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import ray_slope
-from nlbt import models
+from nlbt import models, pipeline
 from nlbt.energy import solve_controllability_energy, solve_observability_energy
 from nlbt.inod import SqSingularValueFns, compute_inod_transform
 from nlbt.kron import PolyMap, multi_index_to_column
@@ -256,6 +256,34 @@ class TestComposeBalancing:
             return inod.transform(phi(zbar)) - Tbar(zbar)
 
         assert ray_slope(resid, 2, seed=3) >= d + 1
+
+
+class TestDerivedPipelineData:
+    """``pl.hankel`` and ``pl.scaling_map`` are derived, not stored, and equal
+    what :func:`balance` composed with."""
+
+    def test_equal_the_values_balance_composed_with(self, monkeypatch):
+        seen = {}
+        inod_fn, compose_fn = pipeline.compute_inod_transform, pipeline.compose_balancing
+
+        def inod_spy(*args):
+            seen["inod"] = inod_fn(*args)
+            return seen["inod"]
+
+        def compose_spy(transform, scaling_map, d):
+            seen["scaling_map"] = scaling_map
+            return compose_fn(transform, scaling_map, d)
+
+        monkeypatch.setattr(pipeline, "compute_inod_transform", inod_spy)
+        monkeypatch.setattr(pipeline, "compose_balancing", compose_spy)
+        pl = balance(models.pendulum(5), 4)
+        assert "scaling_map" not in vars(pl) and "hankel" not in vars(pl)
+        npt.assert_array_equal(pl.hankel, seen["inod"].hankel)
+        want = seen["scaling_map"]
+        assert pl.scaling_map.terms.keys() == want.terms.keys()
+        for k, W in want.terms.items():
+            npt.assert_array_equal(pl.scaling_map.terms[k], W)
+        assert pl.scaling_map is pl.scaling_map  # built once
 
 
 class TestScalingProperties:

@@ -83,8 +83,9 @@ class TestIntegrate:
             integrate(lambda x, u: -x, x0, zero_signal(), (0, 1))
 
     def test_rejects_negative_abs_tol(self):
-        with pytest.raises(ValueError, match="atol must be non-negative"):
-            integrate(lambda x, u: -x, np.array([1.0]), zero_signal(), (0, 1), abs_tol=-1e-9)
+        for abs_tol in (-1e-9, 0.0):
+            with pytest.raises(ValueError, match="abs_tol must be positive"):
+                integrate(lambda x, u: -x, np.array([1.0]), zero_signal(), (0, 1), abs_tol=abs_tol)
 
     def test_rel_tol_below_its_floor_warns_and_is_raised(self):
         rhs, x0 = (lambda x, u: -x), np.array([1.0])
