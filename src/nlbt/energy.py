@@ -27,12 +27,23 @@ is ``i``: a (k-1)-way problem on the leading ``(i+1)``-block of ``T``
 shifted by ``T[i, i]``.  The 2-way problems at the bottom of the recursion
 are triangular Sylvester equations (LAPACK ``ztrsyl``).  A vanishing sum of
 k eigenvalues (a resonance) shows up on the diagonal of ``T`` and raises
-:class:`~nlbt.errors.ResonanceError`.
+:class:`~nlbt.errors.ResonanceError`.  When every eigenvalue's real part has
+one sign, that test is O(n): each sum of k eigenvalues is at least ``k
+min|Re lam|`` in magnitude, and the ``n^k`` sums are formed only when that
+bound does not clear the tolerance.
+
+The Schur forms (``zgees``) and ``V_2 = Wc^-1`` (``dposv``) are direct LAPACK
+calls with the flags and workspace that ``scipy.linalg.schur`` and
+``scipy.linalg.solve(..., assume_a="pos")`` pass, so the results are those
+functions' bit for bit, without their per-call input checks; only at n = 1,
+where scipy's solve is one division, can ``V_2`` differ, by one ulp.  A
+non-finite matrix raises ``ValueError`` before LAPACK sees it.
 """
 
+from functools import lru_cache
+
 import numpy as np
-import scipy.linalg as la
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.lapack import dposv, zgees, ztrsyl
 
 from .errors import HypothesisViolation, ResonanceError
 from .kron import PolyMap, symmetrize_columns
@@ -118,40 +129,79 @@ def _slot_product(t, M):
 _BLOCK_2WAY = 32
 
 
+def _no_sort(_):
+    """zgees's eigenvalue-selection callback; never called, as nothing is sorted."""
+
+
+@lru_cache(maxsize=64)
+def _zgees_lwork(n):
+    """zgees's optimal workspace at order n; the query reads only n."""
+    return int(zgees(_no_sort, np.zeros((n, n), complex), lwork=-1)[-2][0].real)
+
+
+def _complex_schur(M):
+    """``(T, Z)`` with ``M = Z T Z^H``, ``M`` real, square and finite.
+
+    ``zgees`` with the workspace and flags of ``scipy.linalg.schur(M,
+    output="complex")``, so both factors are that call's, bit for bit.
+    """
+    n = M.shape[0]
+    T, _, _, Z, _, info = zgees(_no_sort, M.astype(complex), lwork=_zgees_lwork(n), overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return T, Z
+
+
 class SchurFactor:
     """Complex Schur form ``A^T = Z T Z^H`` of a real square matrix ``A``.
 
     Compute it once per linearization and pass it to
-    :func:`solve_kway_transposed` for every degree.
+    :func:`solve_kway_transposed` for every degree.  Raises ``ValueError``
+    for a matrix that is not square or not finite.
     """
 
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be a square matrix")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+            raise ValueError("A must be a non-empty square matrix")
+        if not np.isfinite(A).all():
+            raise ValueError("A must not contain infs or NaNs")
         n = A.shape[0]
-        T, Z = la.schur(A.T, output="complex")
+        T, Z = _complex_schur(A.T)
         self.n = n
         self.T = T
-        self.eigvals = np.diagonal(T)
+        lam = self.eigvals = np.diagonal(T)
         # Fortran-ordered operand of the 2-way solves (ztrsyl)
         self._tconj_f = np.asfortranarray(T.conj())
         # a slot contraction by M is ``t @ M^T`` on the trailing axis; the
         # real operands let the real input and the real output skip complex
-        # products
+        # products.  ``_zh_t_real`` interleaves ``Re Z`` and ``-Im Z`` by column
         self._zh_t = Z.conj()
-        self._zh_t_real = np.stack([Z.real, -Z.imag], axis=-1).reshape(n, 2 * n)
+        self._zh_t_real = np.ascontiguousarray(self._zh_t).view(float)
         self._z_t = np.ascontiguousarray(Z.T)
         self._z_t_re = np.ascontiguousarray(Z.real.T)
         self._z_t_im = np.ascontiguousarray(Z.imag.T)
+        # the degree-k resonance tolerance is ``_res_tol * k``; a spectrum
+        # whose real parts share one sign bounds every |sum| below by k
+        # ``_res_bound``, else that bound is 0
+        re = lam.real
+        self._res_tol = 1e-12 * max(float(np.abs(lam).max()), 1.0)
+        self._res_bound = float(np.abs(re).min()) if re.max() < 0.0 or re.min() > 0.0 else 0.0
 
     def _check_resonance(self, k):
-        """Raise :class:`ResonanceError` when a sum of ``k`` eigenvalues is numerically zero."""
+        """Raise :class:`ResonanceError` when a sum of ``k`` eigenvalues is numerically zero.
+
+        The ``n^k`` sums are formed only when the one-sign bound ``k
+        _res_bound`` falls short of twice the tolerance; the factor 2 covers
+        the rounding of the sums, so the verdict is the full check's.
+        """
+        tol = self._res_tol * k
+        if k * self._res_bound >= 2.0 * tol:
+            return
         lam = self.eigvals
         sums = lam
         for _ in range(k - 1):
             sums = sums[..., None] + lam
-        tol = 1e-12 * max(float(np.abs(lam).max()), 1.0) * k
         if np.abs(sums).min() < tol:
             raise ResonanceError(
                 f"degree-{k} solve is singular: an eigenvalue sum of the "
@@ -227,11 +277,11 @@ class SchurFactor:
         m = hi - lo
         if m <= _BLOCK_2WAY:
             A = self._shifted_block(lo, hi, shift)
-            # X is symmetric, so X.T is the same matrix in Fortran order
-            Y, scale, _ = ztrsyl(
-                A, self._tconj_f[lo:hi, lo:hi], X.T, tranb="C", overwrite_c=1
-            )
-            if scale != 1.0 or not np.may_share_memory(Y, X):
+            # X is symmetric, so X.T is the same matrix in Fortran order;
+            # ztrsyl solves in place unless it had to copy a strided X.T
+            C = X.T
+            Y, scale, _ = ztrsyl(A, self._tconj_f[lo:hi, lo:hi], C, tranb="C", overwrite_c=1)
+            if scale != 1.0 or Y is not C:
                 X[...] = Y.T / scale
             return
         h = m // 2
@@ -253,13 +303,15 @@ class SchurFactor:
 
 def _check_symmetric(R):
     """Raise ``ValueError`` unless the k-tensor ``R`` is finite and slot-permutation invariant."""
-    tol = 1e-12 * np.abs(R).max()
+    d = np.empty_like(R)  # one scratch tensor for every difference
+    tol = 1e-12 * np.abs(R, out=d).max()
     if not np.isfinite(tol):  # a NaN would fail no comparison below
         raise ValueError("right-hand side holds a non-finite value")
     # a transposition and a cycle generate every permutation of the slots
     k = R.ndim
     for axes in {(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)}:
-        if np.abs(R - R.transpose(axes)).max() > tol:
+        np.subtract(R, R.transpose(axes), out=d)
+        if np.abs(d, out=d).max() > tol:
             raise ValueError(
                 "right-hand side is not symmetric in its Kronecker slots; "
                 "symmetrize it with nlbt.kron.symmetrize_columns"
@@ -376,7 +428,11 @@ def solve_controllability_energy(sys, d):
             f"controllability Gramian is numerically singular (cond {cond:.3g}); "
             "the linearization is not controllable"
         )
-    V2 = la.solve(Wc, np.eye(n), assume_a="pos")
+    # LAPACK's positive-definite solve, as scipy.linalg.solve(Wc, I,
+    # assume_a="pos") makes it
+    _, V2, info = dposv(Wc, np.eye(n), lower=0)
+    if info:
+        raise np.linalg.LinAlgError("controllability Gramian is not positive definite")
     V2 = 0.5 * (V2 + V2.T)
     fac = SchurFactor(A + B @ B.T @ V2)
     m = sys.m

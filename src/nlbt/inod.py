@@ -15,12 +15,18 @@ each monomial gives at most two equations in one unknown per distinct state,
 solved in minimum-norm least-squares sense.
 That gauge choice is one of many valid ones, so tests should assert the
 residual contracts and the sigma^2 series rather than raw coefficients.
+
+The linear stage calls LAPACK directly (``dpotrf``, ``dtrtrs``, ``dgesdd``)
+with the flags and workspace of ``scipy.linalg``'s ``cholesky``,
+``solve_triangular`` and ``svd``, so its results are theirs bit for bit.  The
+contract check's rays are drawn once per ray count, dimension and seed, and
+kept read-only.
 """
 
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as la
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dtrtrs
 
 from .errors import ContractViolation, HypothesisViolation
 from .kron import PolyMap, compose_degree
@@ -106,6 +112,24 @@ _SIGN_TIE_RTOL = 1e-12
 _GAP_RTOL = 1e-10
 
 
+@lru_cache(maxsize=64)
+def _gesdd_lwork(n):
+    """dgesdd's optimal workspace for a full SVD of order n; the query reads only n."""
+    work, info = dgesdd_lwork(n, n, compute_uv=1, full_matrices=1)
+    return int(work.real)
+
+
+def _cholesky_lower(H):
+    """Lower Cholesky factor of a Hessian, or :class:`HypothesisViolation`."""
+    L, info = dpotrf(H, lower=1)
+    if info:
+        raise HypothesisViolation(
+            "energy Hessians are not positive definite; the linearization is "
+            "not minimal"
+        )
+    return L
+
+
 def linear_balancing(Ec, Eo):
     """Linear input-normal/output-diagonal stage via square-root balancing.
 
@@ -119,25 +143,25 @@ def linear_balancing(Ec, Eo):
     :class:`HypothesisViolation` for indefinite Hessians or repeated/zero
     Hankel singular values.
     """
-    try:
-        R = la.cholesky(Ec.hessian, lower=True)
-        Lo = la.cholesky(Eo.hessian, lower=True)
-    except la.LinAlgError as exc:
-        raise HypothesisViolation(
-            "energy Hessians are not positive definite; the linearization is "
-            "not minimal"
-        ) from exc
-    U, s, Vh = la.svd(la.solve_triangular(R, Lo, lower=True).T)
+    if not (np.isfinite(Ec.hessian).all() and np.isfinite(Eo.hessian).all()):
+        raise ValueError("energy Hessians must not contain infs or NaNs")
+    # the LAPACK calls, flags and workspaces of scipy.linalg's cholesky,
+    # solve_triangular and svd
+    R = _cholesky_lower(Ec.hessian)
+    Lo = _cholesky_lower(Eo.hessian)
+    U, s, Vh, info = dgesdd(dtrtrs(R, Lo, lower=1)[0].T, lwork=_gesdd_lwork(R.shape[0]))
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
     if s[-1] <= _GAP_RTOL * s[0]:
         raise HypothesisViolation(
             f"Hankel singular value {s[-1]:.3g} is numerically zero"
         )
-    if s.size > 1 and np.min(-np.diff(s)) < _GAP_RTOL * s[0]:
+    if s.size > 1 and (s[:-1] - s[1:]).min() < _GAP_RTOL * s[0]:
         raise HypothesisViolation(
             "repeated Hankel singular values: "
             + ", ".join(f"{x:.6g}" for x in s)
         )
-    T1 = la.solve_triangular(R, Vh.T, lower=True, trans="T")
+    T1 = dtrtrs(R, Vh.T, lower=1, trans=1)[0]
     T1inv = (U / s).T @ Lo.T
     # canonical column signs for reproducibility: the first entry whose
     # magnitude is within _SIGN_TIE_RTOL of the column's largest is positive,
@@ -272,6 +296,15 @@ def _contracts_short(prev, cur, floor, d_transf):
     return ~(cur <= floor) & ~(cur <= np.abs(prev) * 10 ** -(d_transf + 1.5))
 
 
+@lru_cache(maxsize=64)
+def _rays(n_dirs, n, seed):
+    """``n_dirs`` seeded unit directions in R^n, drawn once and kept read-only."""
+    dirs = np.random.default_rng(seed).standard_normal((n_dirs, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs.setflags(write=False)
+    return dirs
+
+
 def _check_contracts(result, Ec, Eo, d_transf, n_dirs=2, seed=0):
     """Internal consistency check: the residual contracts must contract.
 
@@ -288,8 +321,7 @@ def _check_contracts(result, Ec, Eo, d_transf, n_dirs=2, seed=0):
     """
     if d_transf < 2:
         return
-    dirs = np.random.default_rng(seed).standard_normal((n_dirs, Ec.n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _rays(n_dirs, Ec.n, seed)
     sig2 = result.sq_sv
     # folded once for both ray pairs; the energies stacked as one 2-row map
     transform = _Compact.fold([result.transform])
